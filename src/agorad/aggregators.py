@@ -18,16 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations, product
-from weakref import WeakSet
 
 from .domain import Domain, two_element_subsets
 from .errors import ParseError, VerificationError
 
 FOUR_OPS = frozenset({"AND3", "OR3", "MAJ", "XOR3"})
-
-# Aggregator tuples that already passed is_closed; lets superpose/diamond
-# skip re-verification of their own outputs during folds.
-_VERIFIED: "WeakSet[AggregatorTuple]" = WeakSet()
 
 
 def eval_named(op: str, labeling, x, y, z):
@@ -233,15 +228,12 @@ def is_closed(d: Domain, agg: AggregatorTuple) -> ClosureResult:
 
 
 def require_aggregator(d: Domain, agg: AggregatorTuple) -> None:
-    """Refuse tuples that are not verified aggregators for ``d``."""
-    if agg in _VERIFIED:
-        return
+    """Refuse tuples that are not aggregators for ``d``."""
     result = is_closed(d, agg)
     if not result.ok:
         raise ValueError(
             f"tuple is not an aggregator: image of {result.counterexample} escapes"
         )
-    _VERIFIED.add(agg)
 
 
 def is_dictatorial(d: Domain, agg: AggregatorTuple) -> int | None:
@@ -345,11 +337,6 @@ def is_locally_monomorphic(d: Domain, agg: AggregatorTuple) -> bool:
     return True
 
 
-def _mark_verified(agg: AggregatorTuple) -> AggregatorTuple:
-    _VERIFIED.add(agg)
-    return agg
-
-
 def superpose(d: Domain, outer: AggregatorTuple, inners) -> AggregatorTuple:
     """Compose an n-ary aggregator with n k-ary aggregators componentwise.
 
@@ -384,7 +371,7 @@ def superpose(d: Domain, outer: AggregatorTuple, inners) -> AggregatorTuple:
     check = is_closed(d, result)
     if not check.ok:
         raise VerificationError("superposition escaped the feasible set")
-    return _mark_verified(result)
+    return result
 
 
 def diamond(d: Domain, f: AggregatorTuple, g: AggregatorTuple) -> AggregatorTuple:
@@ -427,7 +414,7 @@ def diamond(d: Domain, f: AggregatorTuple, g: AggregatorTuple) -> AggregatorTupl
                     raise VerificationError(
                         f"commutativity lost at issue {j}, pair {pair}"
                     )
-    return _mark_verified(result)
+    return result
 
 
 def serialize_aggregator(d: Domain, agg: AggregatorTuple) -> str:

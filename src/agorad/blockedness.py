@@ -28,7 +28,6 @@ from .aggregators import (
     OperationTable,
     is_closed,
     is_dictatorial,
-    _mark_verified,
 )
 from .domain import Domain, require_valid, two_element_subsets
 from .errors import CapacityError, PartitionUnavailableError, VerificationError
@@ -360,7 +359,7 @@ def binary_from_partition(d: Domain, graph: BlockednessGraph) -> AggregatorTuple
         raise VerificationError("partition aggregator escaped the feasible set")
     if is_dictatorial(d, result) is not None:
         raise VerificationError("partition aggregator came out dictatorial")
-    return _mark_verified(result)
+    return result
 
 
 def is_multiply_constrained(d: Domain) -> bool:

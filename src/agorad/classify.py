@@ -16,11 +16,7 @@ from .aggregators import (
     is_uniformly_nondictatorial,
     serialize_aggregator,
 )
-from .blockedness import (
-    BlockednessGraph,
-    is_multiply_constrained,
-    is_totally_blocked,
-)
+from .blockedness import BlockednessGraph, build_graph, is_multiply_constrained
 from .domain import Domain, require_valid
 from .errors import CapacityError, VerificationError
 from .search import (
@@ -29,6 +25,7 @@ from .search import (
     FOUND,
     SearchBudget,
     SearchOutcome,
+    _binary_from_graph,
     find_binary_nondictatorial,
     find_majority,
     find_minority,
@@ -43,13 +40,13 @@ UNKNOWN = "unknown"
 TRACTABLE = "TRACTABLE"
 NP_COMPLETE = "NP_COMPLETE"
 MCSP_UNKNOWN = "UNKNOWN"
+_MCSP_LABEL = {YES: TRACTABLE, NO: NP_COMPLETE, UNKNOWN: MCSP_UNKNOWN}
 
 
 @dataclass(frozen=True)
 class AnalysisOptions:
     budget: SearchBudget = field(default_factory=SearchBudget)
     diagnostics: bool = False
-    validate_uniform: bool = False
 
 
 @dataclass(frozen=True)
@@ -70,7 +67,7 @@ class UpdDecision:
 class BooleanClassification:
     affine: bool
     bijunctive: bool
-    possibility: str  # yes | no | unknown, decided as affine or binary witness
+    possibility: str  # yes | no, decided as affine or binary witness
 
 
 @dataclass(frozen=True)
@@ -90,21 +87,11 @@ class AnalysisReport:
     mcsp: str
     multiply_constrained: str | None  # diagnostics only
     witness_locally_monomorphic: str | None  # diagnostics only
-
-
-def _status_of(outcome: SearchOutcome) -> str:
-    if outcome.status == FOUND:
-        return YES
-    if outcome.status == EXHAUSTED:
-        return NO
-    return UNKNOWN
+    graph: BlockednessGraph = field(repr=False)  # never serialized; for --dot
 
 
 def is_possibility_domain(
-    d: Domain,
-    budget: SearchBudget | None = None,
-    *,
-    _graph: BlockednessGraph | None = None,
+    d: Domain, budget: SearchBudget | None = None
 ) -> PossibilityDecision:
     """Non-dictatorial aggregation of some arity: binary, majority, minority.
 
@@ -113,15 +100,19 @@ def is_possibility_domain(
     """
     require_valid(d)
     budget = budget or SearchBudget()
-    searches = (
-        ("binary", lambda: find_binary_nondictatorial(d, budget)),
-        ("majority", lambda: find_majority(d, budget)),
-        ("minority", lambda: find_minority(d, budget)),
-    )
-    outcomes: list[tuple[str, str]] = []
-    saw_budget = False
-    for kind, run in searches:
-        outcome = run()
+    return _decide_possibility(d, budget, find_binary_nondictatorial(d, budget))
+
+
+def _decide_possibility(
+    d: Domain, budget: SearchBudget, binary: SearchOutcome
+) -> PossibilityDecision:
+    """The possibility decision, given the binary search's outcome on ``d``."""
+    outcomes: list[tuple[str, str]] = [("binary", binary.status)]
+    if binary.status == FOUND:
+        return PossibilityDecision(YES, "binary", binary.witness, tuple(outcomes))
+    saw_budget = binary.status == BUDGET_EXCEEDED
+    for kind, find in (("majority", find_majority), ("minority", find_minority)):
+        outcome = find(d, budget)
         outcomes.append((kind, outcome.status))
         if outcome.status == FOUND:
             return PossibilityDecision(YES, kind, outcome.witness, tuple(outcomes))
@@ -144,6 +135,13 @@ def boolean_classification(
     require_valid(d)
     if any(len(p) != 2 for p in d.projections):
         raise ValueError("boolean classification needs two-valued projections")
+    binary = find_binary_nondictatorial(d, budget)
+    return _classify_boolean(d, binary.status == FOUND)
+
+
+def _classify_boolean(d: Domain, binary_found: bool) -> BooleanClassification:
+    """Closure scan of a two-valued ``d``; the binary verdict comes from the
+    graph route, which never runs out of budget."""
     rows = d.feasible
     feasible_set = d.feasible_set
     m = d.issue_count
@@ -170,15 +168,10 @@ def boolean_classification(
         else:
             continue
         break
-    binary = find_binary_nondictatorial(d, budget)
-    if affine or binary.status == FOUND:
-        possibility = YES
-    elif binary.status == EXHAUSTED:
-        possibility = NO
-    else:
-        possibility = UNKNOWN
     return BooleanClassification(
-        affine=affine, bijunctive=bijunctive, possibility=possibility
+        affine=affine,
+        bijunctive=bijunctive,
+        possibility=YES if affine or binary_found else NO,
     )
 
 
@@ -231,33 +224,36 @@ def is_upd(
 
 def classify_mcsp(d: Domain, budget: SearchBudget | None = None) -> str:
     """Tractability label of the conservative multi-sorted CSP over X."""
-    decision = is_upd(d, budget)
-    if decision.status == YES:
-        return TRACTABLE
-    if decision.status == NO:
-        return NP_COMPLETE
-    return MCSP_UNKNOWN
+    return _MCSP_LABEL[is_upd(d, budget).status]
 
 
 def analyze(d: Domain, options: AnalysisOptions | None = None) -> AnalysisReport:
-    """Run every decision, assert their mutual consistency, return the report."""
+    """Run every decision, assert their mutual consistency, return the report.
+
+    The blockedness graph is built once; it settles total blockedness, the
+    binary search and the Boolean dichotomy, and rides along for --dot. A
+    valid domain takes at least two values on every issue, where a uniform
+    witness restricts to no projection and so is non-dictatorial: a
+    possibility of no settles upd as no without the uniform search.
+    """
     options = options or AnalysisOptions()
     require_valid(d)
     budget = options.budget
 
-    blocked, graph = is_totally_blocked(d)
-    possibility = is_possibility_domain(d, budget)
-    upd = is_upd(d, budget, validate=options.validate_uniform)
+    graph = build_graph(d)
+    binary = _binary_from_graph(d, graph)
+    possibility = _decide_possibility(d, budget, binary)
+    if possibility.status == NO:
+        upd = UpdDecision(NO, None)
+    else:
+        upd = is_upd(d, budget)
 
     is_boolean = all(len(p) == 2 for p in d.projections)
-    boolean = boolean_classification(d, budget) if is_boolean else None
-
-    if upd.status == YES:
-        mcsp = TRACTABLE
-    elif upd.status == NO:
-        mcsp = NP_COMPLETE
-    else:
-        mcsp = MCSP_UNKNOWN
+    boolean = _classify_boolean(d, binary.status == FOUND) if is_boolean else None
+    if boolean is not None and possibility.status not in (UNKNOWN, boolean.possibility):
+        raise VerificationError(
+            "dichotomy decision disagrees with the three-search route"
+        )
 
     multiply_constrained = None
     witness_monomorphic = None
@@ -271,8 +267,6 @@ def analyze(d: Domain, options: AnalysisOptions | None = None) -> AnalysisReport
                 YES if is_locally_monomorphic(d, possibility.witness) else NO
             )
 
-    _assert_report_invariants(possibility, blocked, upd, mcsp, boolean)
-
     return AnalysisReport(
         issue_count=d.issue_count,
         alphabet_sizes=tuple(len(a) for a in d.alphabets),
@@ -281,33 +275,16 @@ def analyze(d: Domain, options: AnalysisOptions | None = None) -> AnalysisReport
         possibility=possibility.status,
         witness_kind=possibility.witness_kind,
         witness=possibility.witness,
-        totally_blocked=YES if blocked else NO,
+        totally_blocked=YES if graph.is_strongly_connected else NO,
         affine=(YES if boolean.affine else NO) if boolean else None,
         bijunctive=(YES if boolean.bijunctive else NO) if boolean else None,
         upd=upd.status,
         upd_witness=upd.witness,
-        mcsp=mcsp,
+        mcsp=_MCSP_LABEL[upd.status],
         multiply_constrained=multiply_constrained,
         witness_locally_monomorphic=witness_monomorphic,
+        graph=graph,
     )
-
-
-def _assert_report_invariants(possibility, blocked, upd, mcsp, boolean) -> None:
-    binary_status = dict(possibility.outcomes).get("binary")
-    if binary_status == FOUND and blocked:
-        raise VerificationError("binary witness found on a totally blocked domain")
-    if binary_status == EXHAUSTED and not blocked:
-        raise VerificationError("no binary witness although not totally blocked")
-    if upd.status == YES and possibility.status == NO:
-        raise VerificationError("uniform witness on an impossibility domain")
-    if (mcsp == TRACTABLE) != (upd.status == YES):
-        raise VerificationError("tractability label contradicts the uniform decision")
-    if boolean is not None:
-        if possibility.status != UNKNOWN and boolean.possibility != UNKNOWN:
-            if possibility.status != boolean.possibility:
-                raise VerificationError(
-                    "dichotomy decision disagrees with the three-search route"
-                )
 
 
 _REPORT_KEYS = (

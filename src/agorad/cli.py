@@ -40,9 +40,11 @@ def _read_domain(path: str, allow_large: bool) -> Domain:
 
 
 def _budget_from(args) -> SearchBudget:
-    default_ms = int(os.environ.get("AGORAD_BUDGET_MS", "30000"))
-    nodes = getattr(args, "budget_nodes", None) or 10_000_000
-    millis = getattr(args, "budget_ms", None) or default_ms
+    # an explicit 0 must reach SearchBudget and be refused, not read as unset
+    nodes = 10_000_000 if args.budget_nodes is None else args.budget_nodes
+    millis = args.budget_ms
+    if millis is None:
+        millis = int(os.environ.get("AGORAD_BUDGET_MS", "30000"))
     return SearchBudget(max_nodes=nodes, max_millis=millis)
 
 
@@ -57,7 +59,7 @@ def _cmd_analyze(args) -> int:
         sys.stdout.write(classify.report_witness_blocks(domain, report))
     if args.dot:
         sys.stdout.write("graph:\n")
-        sys.stdout.write(graph_to_dot(domain, build_graph(domain)))
+        sys.stdout.write(graph_to_dot(domain, report.graph))
     unknown = (
         classify.UNKNOWN in (report.possibility, report.upd)
         or report.mcsp == classify.MCSP_UNKNOWN

@@ -28,7 +28,6 @@ from .aggregators import (
     FOUR_OPS,
     AggregatorTuple,
     OperationTable,
-    _mark_verified,
     diamond,
     eval_named,
     is_closed,
@@ -36,7 +35,7 @@ from .aggregators import (
     is_uniformly_nondictatorial,
     restriction_class,
 )
-from .blockedness import binary_from_partition, is_totally_blocked
+from .blockedness import BlockednessGraph, binary_from_partition, build_graph
 from .domain import Domain, require_valid, two_element_subsets
 from .errors import CapacityError, VerificationError
 
@@ -452,7 +451,7 @@ def _plan_component(d: Domain, j: int, pair, op: str):
     return preassigned, variables
 
 
-def _verify_found(d: Domain, witness: AggregatorTuple, kind: str) -> AggregatorTuple:
+def _verify_found(d: Domain, witness: AggregatorTuple, kind: str) -> None:
     check = is_closed(d, witness)
     if not check.ok:
         raise VerificationError(f"{kind} witness is not closed")
@@ -481,7 +480,6 @@ def _verify_found(d: Domain, witness: AggregatorTuple, kind: str) -> AggregatorT
                     )
     if kind == "binary" and is_dictatorial(d, witness) is not None:
         raise VerificationError("binary witness is dictatorial")
-    return _mark_verified(witness)
 
 
 def find_majority(d: Domain, budget: SearchBudget | None = None) -> SearchOutcome:
@@ -543,11 +541,15 @@ def find_binary_nondictatorial(
         if outcome.status == FOUND:
             _verify_found(d, outcome.witness, "binary")
         return outcome
-    blocked, graph = is_totally_blocked(d)
-    if blocked:
+    return _binary_from_graph(d, build_graph(d))
+
+
+def _binary_from_graph(d: Domain, graph: BlockednessGraph) -> SearchOutcome:
+    """Graph route on ``d``'s own graph: strong connectivity settles
+    exhaustion, otherwise the partition construction gives the witness."""
+    if graph.is_strongly_connected:
         return SearchOutcome(EXHAUSTED, None, SearchStats())
-    witness = binary_from_partition(d, graph)
-    return SearchOutcome(FOUND, witness, SearchStats())
+    return SearchOutcome(FOUND, binary_from_partition(d, graph), SearchStats())
 
 
 _PIN_ORDER = ("MAJ", "XOR3", "AND3", "OR3")
@@ -589,7 +591,6 @@ def find_component_nonprojection(
             raise VerificationError(
                 f"component witness pinned to {op} classifies as {got}"
             )
-        _mark_verified(witness)
         return SearchOutcome(FOUND, witness, SearchStats(nodes, prunes))
 
     unresolved = []
@@ -739,7 +740,7 @@ def _oracle_scan(d: Domain, arity: int, budget: SearchBudget, collect_all: bool)
         proj_tables.append(tuple(per))
 
     def emit(combo) -> AggregatorTuple:
-        candidate = AggregatorTuple(
+        return AggregatorTuple(
             arity=arity,
             components=tuple(
                 OperationTable(
@@ -751,7 +752,6 @@ def _oracle_scan(d: Domain, arity: int, budget: SearchBudget, collect_all: bool)
                 for jj in range(m)
             ),
         )
-        return _mark_verified(candidate)
 
     def is_trivial(combo) -> bool:
         return any(

@@ -17,11 +17,13 @@ from agorad.aggregators import (
     operation_from_callable,
     parse_aggregator,
     projection_aggregator,
+    require_aggregator,
     restriction_class,
     serialize_aggregator,
     superpose,
 )
 from agorad.domain import build_domain
+from agorad.fixtures import fixture_domain
 
 from helpers import naive_is_closed
 
@@ -309,6 +311,22 @@ class TestSuperpose:
         not_closed = AggregatorTuple(arity=2, components=comps)
         with pytest.raises(ValueError):
             superpose(w, not_closed, [projection_aggregator(w, 2, 1)] * 2)
+
+    def test_closure_on_another_domain_does_not_carry_over(self, w):
+        def and_tuple(d):
+            comps = tuple(
+                operation_from_callable(d, j, 2, lambda u, v: u & v)
+                for j in range(1, 4)
+            )
+            return AggregatorTuple(arity=2, components=comps)
+
+        full = fixture_domain("full-boolean-3")
+        closed_on_full = and_tuple(full)
+        require_aggregator(full, closed_on_full)
+        and_on_w = and_tuple(w)
+        assert and_on_w == closed_on_full
+        with pytest.raises(ValueError, match="not an aggregator"):
+            superpose(w, and_on_w, [and_on_w] * 2)
 
 
 class TestDiamond:

@@ -151,6 +151,26 @@ class TestSolve:
         assert out == "UNSAT\n"
 
 
+class TestBudgetFlags:
+    def test_zero_nodes_rejected(self, w_file):
+        code, out = run_cli(
+            "witness", str(w_file), "--kind", "binary", "--budget-nodes", "0"
+        )
+        assert code == 2
+        assert out == ""
+
+    def test_zero_millis_rejected(self, tmp_path, w_file):
+        inst = tmp_path / "one.csp"
+        inst.write_text(
+            "domain w.dom\n"
+            "var v1 sort 1\nvar v2 sort 2\nvar v3 sort 3\n"
+            "constraint X: v1 v2 v3\n"
+        )
+        code, out = run_cli("solve", str(inst), "--budget-ms", "0")
+        assert code == 2
+        assert out == ""
+
+
 class TestBudgetEnv:
     def test_time_budget_default_from_env(self, monkeypatch, tmp_path):
         path = tmp_path / "yz.dom"
@@ -196,6 +216,13 @@ class TestExitCodes:
         assert code == 1
         assert "upd = unknown" in out
         assert "mcsp = UNKNOWN" in out
+
+    def test_impossibility_settles_upd_without_budget(self, w_file):
+        code, out = run_cli("analyze", str(w_file), "--budget-nodes", "1")
+        assert code == 0
+        assert "possibility = no" in out
+        assert "upd = no" in out
+        assert "mcsp = NP_COMPLETE" in out
 
     def test_unknown_fixture(self):
         code, _ = run_cli("fixtures", "no-such")
