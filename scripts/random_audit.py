@@ -15,17 +15,18 @@ import random
 import sys
 import time
 import warnings
-from itertools import product
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 from agorad.blockedness import EmptyBoxWarning  # noqa: E402
 
 warnings.simplefilter("ignore", EmptyBoxWarning)
 
 from agorad.blockedness import is_totally_blocked
-from agorad.domain import build_domain, serialize_domain, validate
+from agorad.domain import serialize_domain
 from agorad.search import (
     EXHAUSTED,
     FOUND,
@@ -38,20 +39,7 @@ from agorad.search import (
     fold_diamond_cover,
 )
 
-TOKENS = ("a", "b", "c", "d", "e")
-
-
-def sample_domain(rng, max_issues, max_alphabet, max_rows, boolean):
-    while True:
-        m = rng.randint(1, max_issues)
-        sizes = [2 if boolean else rng.randint(2, max_alphabet) for _ in range(m)]
-        alphabets = [TOKENS[:s] for s in sizes]
-        universe = list(product(*alphabets))
-        k = rng.randint(2, min(max_rows, len(universe)))
-        rows = rng.sample(universe, k)
-        d = build_domain(alphabets, rows)
-        if validate(d).ok:
-            return d
+from helpers import random_boolean_domain, random_domain
 
 
 def audit_blocked(d) -> bool:
@@ -78,7 +66,12 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-issues", type=int, default=3)
     parser.add_argument("--max-alphabet", type=int, default=3)
-    parser.add_argument("--max-rows", type=int, default=10)
+    parser.add_argument(
+        "--max-rows",
+        type=int,
+        default=10,
+        help="row cap of the non-Boolean draws; Boolean draws take any row count",
+    )
     parser.add_argument(
         "--check",
         choices=("blocked", "ternary", "uniform", "all"),
@@ -87,20 +80,30 @@ def main() -> int:
     args = parser.parse_args()
 
     rng = random.Random(args.seed)
+
+    def general():
+        return random_domain(
+            rng,
+            max_issues=args.max_issues,
+            max_alphabet=args.max_alphabet,
+            max_rows=args.max_rows,
+        )
+
+    def boolean():
+        return random_boolean_domain(rng, max_issues=args.max_issues)
+
     checks = []
     if args.check in ("blocked", "all"):
-        checks.append(("blocked", audit_blocked, False))
+        checks.append(("blocked", audit_blocked, general))
     if args.check in ("ternary", "all"):
-        checks.append(("ternary", audit_ternary, True))
+        checks.append(("ternary", audit_ternary, boolean))
     if args.check in ("uniform", "all"):
-        checks.append(("uniform", audit_uniform, False))
+        checks.append(("uniform", audit_uniform, general))
 
     start = time.monotonic()
     for i in range(args.count):
-        for label, audit, boolean_only in checks:
-            d = sample_domain(
-                rng, args.max_issues, args.max_alphabet, args.max_rows, boolean_only
-            )
+        for label, audit, draw in checks:
+            d = draw()
             if not audit(d):
                 print(f"DISAGREEMENT in {label} on domain #{i}:")
                 print(serialize_domain(d))

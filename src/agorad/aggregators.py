@@ -381,12 +381,27 @@ def diamond(d: Domain, f: AggregatorTuple, g: AggregatorTuple) -> AggregatorTupl
     f_j(g_j(x,y,z), g_j(y,z,x), g_j(z,x,y)). Whenever either input is
     commutative on a two-element subset, the result is too, so folding
     with this operation accumulates commutative restrictions; that
-    preservation is re-verified before returning.
+    preservation and the result's closure are re-verified before returning.
     """
     if f.arity != 3 or g.arity != 3:
         raise ValueError("both arguments must be ternary")
     require_aggregator(d, f)
     require_aggregator(d, g)
+    result = _cyclic_composition(d, f, g)
+    check = is_closed(d, result)
+    if not check.ok:
+        raise VerificationError("cyclic composition escaped the feasible set")
+    return result
+
+
+def _cyclic_composition(
+    d: Domain, f: AggregatorTuple, g: AggregatorTuple
+) -> AggregatorTuple:
+    """The tables of ``diamond(d, f, g)``, with its commutativity check.
+
+    Closure is left to the caller: ``diamond`` checks inputs and result,
+    a fold over verified inputs checks only its final composite.
+    """
     comps = []
     for j in range(1, d.issue_count + 1):
         fj = f.component(j)
@@ -402,9 +417,6 @@ def diamond(d: Domain, f: AggregatorTuple, g: AggregatorTuple) -> AggregatorTupl
             OperationTable(issue=j, arity=3, values=values, table=tuple(table))
         )
     result = AggregatorTuple(arity=3, components=tuple(comps))
-    check = is_closed(d, result)
-    if not check.ok:
-        raise VerificationError("cyclic composition escaped the feasible set")
     for j in range(1, d.issue_count + 1):
         for pair in two_element_subsets(d, j):
             f_cls = restriction_class(f.component(j), pair).tag

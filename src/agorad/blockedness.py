@@ -14,13 +14,26 @@ records. The domain is totally blocked when this graph is strongly
 connected; otherwise any source component of the condensation yields a
 binary non-dictatorial aggregator by projecting one side of the partition
 onto first arguments and the other onto second arguments.
+
+The graph is built on bitmasks. Inside a 2-sub-box a feasible row is an
+m-bit mask, one bit per issue (issue j owns bit m - j), set where the row
+takes the cell's second value. A box with no row is counted for a single
+EmptyBoxWarning; a box with one row has only single-issue MIPEs, which
+wire no edge, and is skipped. Otherwise the projection P_K = {r & K} is
+built once per support mask K, and an assignment a on K is a MIPE when a
+is not in P_K but every restriction to K - {i} is in P_{K - {i}}. On a
+2-sub-box this subset-minimality equals the flip-minimality above: each
+cell has one other value, so a row agreeing with a off issue i agrees at
+i as well (impossible, a is infeasible) or is exactly the flip at i.
+``enumerate_mipes`` and the sub-box scan of ``is_multiply_constrained``
+keep the direct, definition-level enumeration.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 
 from .aggregators import (
@@ -268,8 +281,89 @@ def _guard_two_box_work(d: Domain) -> None:
         )
 
 
+@lru_cache(maxsize=None)
+def _edge_supports(m: int):
+    """Supports of at least two issues, as (issues, mask, masks less one issue).
+
+    Issue j owns bit m - j, so the first issue is the most significant bit
+    and numeric order of assignment masks is lexicographic order of codes.
+    Supports come by size, then lexicographically.
+    """
+    out = []
+    for size in range(2, m + 1):
+        for support in combinations(range(1, m + 1), size):
+            bits = [1 << (m - j) for j in support]
+            mask = sum(bits)
+            out.append((support, mask, tuple(mask ^ b for b in bits)))
+    return tuple(out)
+
+
+def _row_masks(d: Domain, box: SubBox) -> set[int]:
+    """Feasible rows inside the box, one bit per issue set on its second value."""
+    m = d.issue_count
+    cells = box.cells
+    masks = set()
+    for row in d.feasible:
+        mask = 0
+        for jj in range(m):
+            value = row[jj]
+            lo, hi = cells[jj]
+            if value == hi:
+                mask |= 1 << (m - 1 - jj)
+            elif value != lo:
+                break
+        else:
+            masks.add(mask)
+    return masks
+
+
+def _projection_mipes(box: SubBox, masks: set[int], m: int):
+    """Yield the MIPEs of support size >= 2 on a 2-sub-box, canonical order.
+
+    ``masks`` holds the box's feasible rows (see ``_row_masks``); with
+    P_K = {r & K} the projection onto support mask K, an assignment a on K
+    is a MIPE iff a is absent from P_K and a & ~i lies in P_{K - i} for
+    every bit i of K.
+    """
+    full = (1 << m) - 1
+    projections = [()] * (full + 1)
+    projections[full] = masks
+    for mask in range(full - 1, -1, -1):
+        wider = projections[mask | ((mask + 1) & ~mask)]  # add the lowest free bit
+        projections[mask] = {r & mask for r in wider}
+    cells = box.cells
+    for support, mask, narrower in _edge_supports(m):
+        present = projections[mask]
+        if len(present) == 1 << len(support):
+            continue
+        first_bit = mask ^ narrower[0]
+        found = []
+        for p in projections[narrower[0]]:  # every a with a & ~first_bit present
+            for a in (p, p | first_bit):
+                if a not in present and all(
+                    (a & k) in projections[k] for k in narrower[1:]
+                ):
+                    found.append(a)
+        for a in sorted(found):
+            yield Mipe(
+                box=box,
+                support=support,
+                assignment=tuple(
+                    cells[j - 1][(a >> (m - j)) & 1] for j in support
+                ),
+            )
+
+
 def build_graph(d: Domain) -> BlockednessGraph:
     """Enumerate MIPEs over every 2-sub-box and assemble the edge set.
+
+    Each box is worked on bitmasks, as the module docstring sets out: a
+    row inside the box is an m-bit mask, set where it takes the cell's
+    second value; a box with no row counts towards one EmptyBoxWarning and
+    a box with one row (single-issue MIPEs only, no edge) is skipped; the
+    MIPEs are the assignments missing from P_K = {r & K} whose every
+    restriction to K - {i} is in P_{K - {i}}, which on a 2-sub-box is the
+    definition's flip-minimality.
 
     One witness is kept per directed edge: the first MIPE found in the
     canonical box/support/assignment order, which makes the graph and its
@@ -277,15 +371,17 @@ def build_graph(d: Domain) -> BlockednessGraph:
     """
     require_valid(d)
     _guard_two_box_work(d)
+    m = d.issue_count
     edge_witness: dict[tuple[Vertex, Vertex], Mipe] = {}
     empty_boxes = 0
     for box in _two_boxes(d):
-        cell_sets = [frozenset(c) for c in box.cells]
-        rows = _rows_in_box(d, cell_sets)
-        if not rows:
+        masks = _row_masks(d, box)
+        if not masks:
             empty_boxes += 1
             continue
-        for mipe in _mipes_over(d, box, rows, min_support=1):
+        if len(masks) == 1:
+            continue  # only single-issue MIPEs, which wire no edge
+        for mipe in _projection_mipes(box, masks, m):
             values = dict(zip(mipe.support, mipe.assignment))
             for k in mipe.support:
                 for l in mipe.support:
@@ -307,11 +403,12 @@ def build_graph(d: Domain) -> BlockednessGraph:
     vertices = _graph_vertices(d)
     edges = tuple(sorted(edge_witness))
     witnesses = tuple(edge_witness[e] for e in edges)
-    adjacency: dict[Vertex, tuple[Vertex, ...]] = {}
+    adjacency: dict[Vertex, list[Vertex]] = {}
     for src, dst in edges:
-        adjacency.setdefault(src, ())
-        adjacency[src] = adjacency[src] + (dst,)
-    sccs = _strongly_connected_components(vertices, adjacency)
+        adjacency.setdefault(src, []).append(dst)
+    sccs = _strongly_connected_components(
+        vertices, {v: tuple(succs) for v, succs in adjacency.items()}
+    )
     return BlockednessGraph(
         vertices=vertices, edges=edges, witnesses=witnesses, sccs=sccs
     )

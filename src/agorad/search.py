@@ -28,7 +28,7 @@ from .aggregators import (
     FOUR_OPS,
     AggregatorTuple,
     OperationTable,
-    diamond,
+    _cyclic_composition,
     eval_named,
     is_closed,
     is_dictatorial,
@@ -636,8 +636,9 @@ def fold_diamond_cover(d: Domain, budget: SearchBudget | None = None) -> SearchO
 
     Collects a component witness per two-element subset of every
     projection, then left-folds them with the cyclic composition, which
-    preserves each witness's commutative restriction. The composite is
-    verified to classify into the four-op set everywhere.
+    preserves each witness's commutative restriction. Each witness was
+    verified by its search, so the fold checks closure once, on the
+    composite, which must also classify into the four-op set everywhere.
     """
     require_valid(d)
     witnesses = []
@@ -655,7 +656,9 @@ def fold_diamond_cover(d: Domain, budget: SearchBudget | None = None) -> SearchO
             witnesses.append(outcome.witness)
     composite = witnesses[0]
     for nxt in witnesses[1:]:
-        composite = diamond(d, composite, nxt)
+        composite = _cyclic_composition(d, composite, nxt)
+    if not is_closed(d, composite).ok:
+        raise VerificationError("folded witness escaped the feasible set")
     uniformity = is_uniformly_nondictatorial(d, composite)
     if not uniformity.ok:
         raise VerificationError("folded witness has a projection restriction")

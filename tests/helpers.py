@@ -1,10 +1,11 @@
-"""Shared test utilities: naive oracles and random domain samplers.
+"""Shared test utilities: naive oracles, random domain samplers, a call counter.
 
 The naive functions here deliberately re-derive results from definitions
 with the dumbest possible loops so the package's optimized routines have
 something independent to agree with.
 """
 
+import sys
 from itertools import combinations, product
 
 from agorad.domain import Domain, build_domain, validate
@@ -36,6 +37,26 @@ def random_boolean_domain(rng, *, max_issues=3):
         d = build_domain(alphabets, rows)
         if validate(d).ok:
             return d
+
+
+def count_calls(monkeypatch, original) -> list:
+    """Record the positional arguments of every call to a package function.
+
+    Patches every module attribute of the package bound to ``original``,
+    so calls from one module into another are counted too.
+    """
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "agorad" or name.startswith("agorad."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 def naive_is_closed(d: Domain, agg) -> bool:

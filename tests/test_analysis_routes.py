@@ -7,7 +7,6 @@ need themselves, so they serve as the reference here.
 """
 
 import random
-import sys
 
 import pytest
 
@@ -25,7 +24,7 @@ from agorad.classify import (
 from agorad.fixtures import fixture_domain, fixture_text
 from agorad.search import SearchBudget
 
-from helpers import random_boolean_domain, random_domain
+from helpers import count_calls, random_boolean_domain, random_domain
 from test_cli import run_cli
 
 FIXTURES = (
@@ -103,19 +102,7 @@ def test_dot_section_equals_graph_command(tmp_path, name):
 @pytest.fixture()
 def graph_builds(monkeypatch):
     """Count build_graph calls through every module attribute bound to it."""
-    original = blockedness.build_graph
-    calls = []
-
-    def counted(d):
-        calls.append(d)
-        return original(d)
-
-    for name, module in list(sys.modules.items()):
-        if name == "agorad" or name.startswith("agorad."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
-    return calls
+    return count_calls(monkeypatch, blockedness.build_graph)
 
 
 @pytest.mark.parametrize("name", ["example2", "yz-product"])

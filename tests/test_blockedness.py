@@ -1,4 +1,6 @@
 import random
+import warnings
+from itertools import product
 
 import pytest
 
@@ -14,11 +16,12 @@ from agorad.blockedness import (
     is_multiply_constrained,
     is_totally_blocked,
 )
-from agorad.domain import build_domain
+from agorad.domain import build_domain, two_element_subsets
 from agorad.errors import PartitionUnavailableError
+from agorad.fixtures import fixture_domain
 from agorad.search import EXHAUSTED, bruteforce_binary, all_binary_aggregators
 
-from helpers import naive_multiply_constrained, random_domain
+from helpers import naive_multiply_constrained, random_boolean_domain, random_domain
 
 FULL_W_BOX = SubBox(cells=((0, 1), (0, 1), (0, 1)))
 
@@ -216,3 +219,110 @@ class TestDot:
         assert dot.startswith("digraph blockedness {")
         assert '"1:01" -> "2:10" [witness="K=1,2,3;x=0,0,0"];' in dot
         assert '"1:10" -> "2:01" [witness="K=1,2;x=1,1"];' in dot
+
+
+def definition_graph(d):
+    """Vertices, edges, first witnesses and SCCs from ``enumerate_mipes``.
+
+    Boxes in product order of the per-issue pairs, edges wired as in
+    ``build_graph``, SCCs as mutual reachability; also the number of boxes
+    that contain no feasible row.
+    """
+    m = d.issue_count
+    edge_witness = {}
+    empty = 0
+    for cells in product(*(two_element_subsets(d, j) for j in range(1, m + 1))):
+        box = SubBox(cells=tuple(cells))
+        if not any(all(row[jj] in cells[jj] for jj in range(m)) for row in d.feasible):
+            empty += 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EmptyBoxWarning)
+            mipes = enumerate_mipes(d, box)
+        for mipe in mipes:
+            values = dict(zip(mipe.support, mipe.assignment))
+            for k in mipe.support:
+                for l in mipe.support:
+                    if k != l:
+                        (u2,) = set(cells[k - 1]) - {values[k]}
+                        (v,) = set(cells[l - 1]) - {values[l]}
+                        src, dst = (k, values[k], u2), (l, v, values[l])
+                        edge_witness.setdefault((src, dst), mipe)
+    vertices = tuple(
+        (j, u, v)
+        for j in range(1, m + 1)
+        for u in d.projection(j)
+        for v in d.projection(j)
+        if u != v
+    )
+    reach = {v: {v} for v in vertices}
+    for src, dst in edge_witness:
+        reach[src].add(dst)
+    changed = True
+    while changed:
+        changed = False
+        for v in vertices:
+            grown = set().union(*(reach[w] for w in reach[v]))
+            if grown != reach[v]:
+                reach[v] = grown
+                changed = True
+    sccs = sorted({tuple(sorted(w for w in reach[v] if v in reach[w])) for v in vertices})
+    edges = tuple(sorted(edge_witness))
+    witnesses = tuple(edge_witness[e] for e in edges)
+    return vertices, edges, witnesses, tuple(sccs), empty
+
+
+def assert_graph_matches_definition(d):
+    vertices, edges, witnesses, sccs, empty = definition_graph(d)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", EmptyBoxWarning)
+        graph = build_graph(d)
+    assert graph.vertices == vertices
+    assert graph.edges == edges
+    assert [(w.box, w.support, w.assignment) for w in graph.witnesses] == [
+        (w.box, w.support, w.assignment) for w in witnesses
+    ]
+    assert graph.sccs == sccs
+    messages = [str(w.message) for w in caught if w.category is EmptyBoxWarning]
+    assert messages == (
+        [f"{empty} 2-sub-box(es) contain no feasible row"] if empty else []
+    )
+
+
+class TestGraphMatchesDefinition:
+    @pytest.mark.parametrize(
+        "name",
+        ["w", "example2", "example3", "wxw", "y-horn", "z-affine", "yz-product"]
+        + [f"full-boolean-{m}" for m in range(1, 6)],
+    )
+    def test_fixtures(self, name):
+        assert_graph_matches_definition(fixture_domain(name))
+
+    def test_random_boolean_domains(self):
+        rng = random.Random(4401)
+        for _ in range(25):
+            assert_graph_matches_definition(random_boolean_domain(rng, max_issues=5))
+
+    def test_random_general_domains(self):
+        rng = random.Random(4402)
+        for _ in range(25):
+            assert_graph_matches_definition(
+                random_domain(rng, max_issues=3, max_alphabet=4, max_rows=12)
+            )
+
+    def test_random_four_issue_domains(self):
+        rng = random.Random(4403)
+        checked = 0
+        while checked < 12:
+            d = random_domain(rng, max_issues=4, max_alphabet=3, max_rows=20)
+            if d.issue_count == 4:
+                assert_graph_matches_definition(d)
+                checked += 1
+
+    def test_empty_boxes_counted_in_one_warning(self):
+        # diagonal pattern: most boxes miss every row
+        d = build_domain(
+            [("a", "b", "c"), ("x", "y", "z"), ("p", "q", "r")],
+            [("a", "x", "p"), ("b", "y", "q"), ("c", "z", "r")],
+        )
+        assert definition_graph(d)[4] > 0
+        assert_graph_matches_definition(d)

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from agorad import aggregators
 from agorad.aggregators import (
     FOUR_OPS,
+    diamond,
     is_closed,
     is_dictatorial,
     is_locally_monomorphic,
@@ -30,7 +32,7 @@ from agorad.search import (
     fold_diamond_cover,
 )
 
-from helpers import random_boolean_domain, random_domain
+from helpers import count_calls, random_boolean_domain, random_domain
 
 
 def check_item4(d, agg):
@@ -187,6 +189,30 @@ class TestFoldDiamondCover:
 
     def test_w_exhausted(self, w):
         assert fold_diamond_cover(w).status == EXHAUSTED
+
+    def test_closure_checked_once_per_witness_plus_composite(
+        self, yz_product, monkeypatch
+    ):
+        calls = count_calls(monkeypatch, aggregators.is_closed)
+        outcome = fold_diamond_cover(yz_product)
+        assert outcome.status == FOUND
+        witnesses = sum(
+            len(two_element_subsets(yz_product, j))
+            for j in range(1, yz_product.issue_count + 1)
+        )
+        assert len(calls) <= witnesses + 1
+        assert calls[-1][1] is outcome.witness
+
+    def test_composite_equals_public_diamond_fold(self, yz_product):
+        witnesses = [
+            find_component_nonprojection(yz_product, j, pair).witness
+            for j in range(1, yz_product.issue_count + 1)
+            for pair in two_element_subsets(yz_product, j)
+        ]
+        expected = witnesses[0]
+        for nxt in witnesses[1:]:
+            expected = diamond(yz_product, expected, nxt)
+        assert fold_diamond_cover(yz_product).witness == expected
 
 
 class TestBruteForceOracles:
