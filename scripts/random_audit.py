@@ -27,11 +27,10 @@ warnings.simplefilter("ignore", EmptyBoxWarning)
 
 from agorad.blockedness import is_totally_blocked
 from agorad.domain import serialize_domain
+from agorad.oracles import bruteforce_binary, bruteforce_ternary_nontrivial
 from agorad.search import (
     EXHAUSTED,
     FOUND,
-    bruteforce_binary,
-    bruteforce_ternary_nontrivial,
     find_binary_nondictatorial,
     find_majority,
     find_minority,

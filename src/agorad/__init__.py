@@ -71,9 +71,6 @@ from .search import (
     FOUND,
     SearchBudget,
     SearchOutcome,
-    all_binary_aggregators,
-    bruteforce_binary,
-    bruteforce_ternary_nontrivial,
     find_binary_nondictatorial,
     find_component_nonprojection,
     find_majority,

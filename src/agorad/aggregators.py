@@ -162,18 +162,7 @@ def check_alignment(d: Domain, agg: AggregatorTuple) -> None:
 
 
 def projection_table(d: Domain, j: int, arity: int, dictator: int) -> OperationTable:
-    values = d.projection(j)
-    k = len(values)
-    table = []
-    for idx in range(k**arity):
-        digits = []
-        rem = idx
-        for _ in range(arity):
-            digits.append(rem % k)
-            rem //= k
-        digits.reverse()
-        table.append(values[digits[dictator - 1]])
-    return OperationTable(issue=j, arity=arity, values=values, table=tuple(table))
+    return operation_from_callable(d, j, arity, lambda *args: args[dictator - 1])
 
 
 def projection_aggregator(d: Domain, arity: int, dictator: int) -> AggregatorTuple:

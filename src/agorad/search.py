@@ -1,6 +1,6 @@
-"""Witness searches: backtracking over operation tables, plus blunt oracles.
+"""Witness searches: backtracking over operation tables.
 
-The main searches share one engine. A search plan preassigns the cells a
+The searches share one engine. A search plan preassigns the cells a
 witness kind forces (equal-argument cells, the majority or minority law,
 a pinned two-element restriction) and leaves the rest as decision
 variables with their supportive value choices. The engine walks variables
@@ -9,12 +9,8 @@ feasible rows it tracks, as a bitmask, which feasible rows are still
 compatible with the image coordinates assigned so far. A mask hitting
 zero kills the branch, and a leaf is reached only when every image row
 lands inside the feasible set, so leaves are closed by construction
-(wrappers still re-verify with is_closed).
-
-The brute-force oracles at the bottom share nothing with the engine: they
-enumerate whole per-issue tables and test closure with a plain double
-loop. Their verdicts are definitive within their capacity bounds and
-exist to cross-examine the searches.
+(wrappers still re-verify with is_closed). The brute-force oracles that
+cross-examine these searches live in ``agorad.oracles``.
 """
 
 from __future__ import annotations
@@ -36,7 +32,7 @@ from .aggregators import (
     restriction_class,
 )
 from .blockedness import BlockednessGraph, binary_from_partition, build_graph
-from .domain import Domain, require_valid, two_element_subsets
+from .domain import MAX_FEASIBLE, Domain, require_valid, two_element_subsets
 from .errors import CapacityError, VerificationError
 
 FOUND = "FOUND"
@@ -86,9 +82,17 @@ def _propagation_tables(d: Domain, arity: int):
     at issue jj is produced by that cell, cells_of[ti] holds the cell per
     issue of selection ti, and value_masks[jj][code] is the bitmask of
     feasible rows whose jj-th coordinate equals code.
+
+    Refuses, before allocating, more row selections than a ternary search
+    on a domain at the parse guard's row limit needs.
     """
     rows = d.feasible
     n_rows = len(rows)
+    if n_rows**arity > MAX_FEASIBLE**3:
+        raise CapacityError(
+            f"{n_rows}^{arity} row selections exceed the table-build guard "
+            f"of {MAX_FEASIBLE**3}"
+        )
     m = d.issue_count
     pos_per_issue = []
     for jj in range(m):
@@ -138,13 +142,18 @@ def run_table_search(
     reject a complete candidate to keep searching (used to filter out
     dictatorial solutions).
 
-    Propagation is two-stage: assigning a cell intersects the viable-row
-    mask of every selection reading it, and when a mask drops to a handful
-    of rows, any coordinate they all agree on is forced onto the cell
-    producing it, cascading. Forced values never involve a choice, so they
+    Propagation has one forcing rule: assigning a cell intersects the
+    viable-row mask of every selection reading it, and when a mask drops
+    to at most four rows, every coordinate those rows agree on is forced
+    onto the cell producing it, cascading (a single viable row forces all
+    of its coordinates). Forced values never involve a choice, so they
     cannot perturb which leaf is reached first.
+
+    The deadline starts before the propagation tables are built and is
+    read once after the preassignment propagation, then every 2048 nodes.
     """
     budget = budget or SearchBudget()
+    deadline = time.monotonic() + budget.max_millis / 1000.0
     watchers, cells_of, value_masks, selection_count = _propagation_tables(d, arity)
     rows = d.feasible
     m = d.issue_count
@@ -153,10 +162,9 @@ def run_table_search(
     tables = [[-1] * (len(d.projections[jj]) ** arity) for jj in range(m)]
     # trail entries: (0, ti, old_mask) restores a mask, (1, jj, cell) clears a cell
     trail: list[tuple[int, int, int]] = []
-    pending: list[int] = []  # selections whose mask became a singleton
+    pending: list[int] = []  # selections whose mask dropped to <= 4 rows
     nodes = 0
     prunes = 0
-    deadline = time.monotonic() + budget.max_millis / 1000.0
 
     def set_cell(jj: int, cell: int, value: int) -> bool:
         current = tables[jj][cell]
@@ -181,18 +189,8 @@ def run_table_search(
         while pending:
             ti = pending.pop()
             mask = masks[ti]
-            if mask == 0:
+            if mask == 0 or mask.bit_count() > 4:
                 continue  # stale entry from an undone branch
-            if mask & (mask - 1) == 0:
-                row = rows[mask.bit_length() - 1]
-                for jj2, cell2 in enumerate(cells_of[ti]):
-                    if tables[jj2][cell2] == -1 and not set_cell(
-                        jj2, cell2, row[jj2]
-                    ):
-                        return False
-                continue
-            if mask.bit_count() > 4:
-                continue
             viable = []
             remaining = mask
             while remaining:
@@ -223,6 +221,8 @@ def run_table_search(
             return SearchOutcome(EXHAUSTED, None, SearchStats(nodes, prunes + 1))
     if not propagate():
         return SearchOutcome(EXHAUSTED, None, SearchStats(nodes, prunes + 1))
+    if time.monotonic() > deadline:
+        return SearchOutcome(BUDGET_EXCEEDED, None, SearchStats(nodes, prunes))
 
     if order_by_tightness:
         # fail-first: variables entangled with the tightest selections go
@@ -289,11 +289,12 @@ def run_table_search(
             undo(marks[vi])
             next_choice[vi] += 1
             continue
-        nodes += 1
-        if nodes > budget.max_nodes or (
-            nodes & _TIME_CHECK_MASK == 0 and time.monotonic() > deadline
+        # a refused node is not counted, so stats.nodes never exceeds the budget
+        if nodes == budget.max_nodes or (
+            nodes & _TIME_CHECK_MASK == _TIME_CHECK_MASK and time.monotonic() > deadline
         ):
             return SearchOutcome(BUDGET_EXCEEDED, None, SearchStats(nodes, prunes))
+        nodes += 1
         marks[vi] = len(trail)
         pending.clear()
         value = choices[ci]
@@ -313,15 +314,6 @@ def run_table_search(
             next_choice[vi] += 1
 
 
-def _decode_cell(idx: int, values, arity: int):
-    k = len(values)
-    args = [0] * arity
-    for i in range(arity - 1, -1, -1):
-        args[i] = values[idx % k]
-        idx //= k
-    return tuple(args)
-
-
 def _dedup(args):
     seen = []
     for a in args:
@@ -335,9 +327,7 @@ def _plan_by_law(d: Domain, arity: int, law):
     preassigned = []
     variables = []
     for jj in range(d.issue_count):
-        values = d.projections[jj]
-        for idx in range(len(values) ** arity):
-            args = _decode_cell(idx, values, arity)
+        for idx, args in enumerate(product(d.projections[jj], repeat=arity)):
             forced = law(args)
             if forced is not None:
                 preassigned.append((jj, idx, forced))
@@ -407,8 +397,7 @@ def _plan_uniform(d: Domain):
                     )
                 )
         if k >= 3:
-            for idx in range(k**3):
-                args = _decode_cell(idx, values, 3)
+            for idx, args in enumerate(product(values, repeat=3)):
                 if len(set(args)) == 3:
                     variables.append(_Var(cells=((jj, idx),), choices=args))
     variables.sort(key=lambda var: var.cells[0])
@@ -425,29 +414,21 @@ def _plan_component(d: Domain, j: int, pair, op: str):
     deterministic.
     """
     zero, one = (pair[0], pair[1]) if pair[0] < pair[1] else (pair[1], pair[0])
-    pinned = set()
-    preassigned = []
     jj0 = j - 1
     values0 = d.projections[jj0]
     k0 = len(values0)
     pos0 = {v: i for i, v in enumerate(values0)}
+    pins = {}
     for args in product((zero, one), repeat=3):
         idx = (pos0[args[0]] * k0 + pos0[args[1]]) * k0 + pos0[args[2]]
-        pinned.add(idx)
-        preassigned.append((jj0, idx, eval_named(op.lower(), (zero, one), *args)))
-    variables = []
-    m = d.issue_count
-    for jj in sorted(range(m), key=lambda i: (abs(i - jj0), i)):
-        values = d.projections[jj]
-        for idx in range(len(values) ** 3):
-            if jj == jj0 and idx in pinned:
-                continue
-            args = _decode_cell(idx, values, 3)
-            forced = _free_law(args)
-            if forced is not None:
-                preassigned.append((jj, idx, forced))
-            else:
-                variables.append(_Var(cells=((jj, idx),), choices=_dedup(args)))
+        pins[(jj0, idx)] = eval_named(op.lower(), (zero, one), *args)
+    preassigned, variables = _plan_by_law(d, 3, _free_law)
+    preassigned = [(jj, idx, v) for (jj, idx), v in pins.items()] + [
+        cell for cell in preassigned if cell[:2] not in pins
+    ]
+    variables = [var for var in variables if var.cells[0] not in pins]
+    # a stable sort: _plan_by_law lists issues in ascending order
+    variables.sort(key=lambda var: abs(var.cells[0][0] - jj0))
     return preassigned, variables
 
 
@@ -593,41 +574,31 @@ def find_component_nonprojection(
             )
         return SearchOutcome(FOUND, witness, SearchStats(nodes, prunes))
 
-    unresolved = []
-    for op in _PIN_ORDER:
+    # (pin, probing); the loop appends each pin its probe left unresolved
+    schedule = [(op, True) for op in _PIN_ORDER]
+    for op, probing in schedule:
         if nodes >= budget.max_nodes:
             return SearchOutcome(BUDGET_EXCEEDED, None, SearchStats(nodes, prunes))
-        probe = SearchBudget(
-            max_nodes=min(_PROBE_NODES, budget.max_nodes - nodes),
-            max_millis=budget.max_millis,
-        )
+        allowance = budget.max_nodes - nodes
+        if probing:
+            allowance = min(_PROBE_NODES, allowance)
         preassigned, variables = _plan_component(d, j, pair, op)
         outcome = run_table_search(
-            d, 3, preassigned, variables, budget=probe, order_by_tightness=True
+            d,
+            3,
+            preassigned,
+            variables,
+            budget=SearchBudget(max_nodes=allowance, max_millis=budget.max_millis),
+            order_by_tightness=True,
         )
         nodes += outcome.stats.nodes
         prunes += outcome.stats.prunes
         if outcome.status == FOUND:
             return finish(op, outcome)
         if outcome.status == BUDGET_EXCEEDED:
-            unresolved.append(op)
-    for op in unresolved:
-        if nodes >= budget.max_nodes:
-            return SearchOutcome(BUDGET_EXCEEDED, None, SearchStats(nodes, prunes))
-        remaining = SearchBudget(
-            max_nodes=budget.max_nodes - nodes,
-            max_millis=budget.max_millis,
-        )
-        preassigned, variables = _plan_component(d, j, pair, op)
-        outcome = run_table_search(
-            d, 3, preassigned, variables, budget=remaining, order_by_tightness=True
-        )
-        nodes += outcome.stats.nodes
-        prunes += outcome.stats.prunes
-        if outcome.status == FOUND:
-            return finish(op, outcome)
-        if outcome.status == BUDGET_EXCEEDED:
-            return SearchOutcome(BUDGET_EXCEEDED, None, SearchStats(nodes, prunes))
+            if not probing:
+                return SearchOutcome(BUDGET_EXCEEDED, None, SearchStats(nodes, prunes))
+            schedule.append((op, False))
     return SearchOutcome(EXHAUSTED, None, SearchStats(nodes, prunes))
 
 
@@ -667,172 +638,3 @@ def fold_diamond_cover(d: Domain, budget: SearchBudget | None = None) -> SearchO
             if restriction_class(composite.component(j), pair).tag not in FOUR_OPS:
                 raise VerificationError("folded witness leaves the four-op set")
     return SearchOutcome(FOUND, composite, SearchStats(nodes, prunes))
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracles: independent of the engine above by design.
-
-
-def _supportive_tables(values, arity: int):
-    """All supportive tables on ``values``, canonical order, as tuples."""
-    cell_choices = [
-        _dedup(args) for args in product(values, repeat=arity)
-    ]
-    return [tuple(t) for t in product(*cell_choices)]
-
-
-def _oracle_candidate_count(d: Domain, arity: int) -> int:
-    total = 1
-    for jj in range(d.issue_count):
-        per_issue = 1
-        for args in product(d.projections[jj], repeat=arity):
-            per_issue *= len(set(args))
-        total *= per_issue
-    return total
-
-
-def _oracle_scan(d: Domain, arity: int, budget: SearchBudget, collect_all: bool):
-    """Plain enumeration of closed tuples: every candidate is tested against
-    every row selection, with nothing carried over between candidates.
-
-    Rows are packed into mixed-radix integers so the closure test is a few
-    multiply-adds and a set lookup per selection.
-    """
-    require_valid(d)
-    count = _oracle_candidate_count(d, arity)
-    if count > budget.max_nodes:
-        raise CapacityError(
-            f"oracle would enumerate {count} candidates, budget is {budget.max_nodes}"
-        )
-    rows = d.feasible
-    n_rows = len(rows)
-    m = d.issue_count
-    per_issue_tables = [
-        _supportive_tables(d.projections[jj], arity) for jj in range(m)
-    ]
-    pos = [{v: i for i, v in enumerate(d.projections[jj])} for jj in range(m)]
-    ks = [len(d.projections[jj]) for jj in range(m)]
-    selections = list(product(range(n_rows), repeat=arity))
-    cell_of = []
-    for jj in range(m):
-        k = ks[jj]
-        pcol = [pos[jj][row[jj]] for row in rows]
-        per_sel = []
-        for sel in selections:
-            idx = 0
-            for r in sel:
-                idx = idx * k + pcol[r]
-            per_sel.append(idx)
-        cell_of.append(per_sel)
-    bases = [len(a) for a in d.alphabets]
-    feasible_codes = set()
-    for row in rows:
-        code = 0
-        for jj in range(m):
-            code = code * bases[jj] + row[jj]
-        feasible_codes.add(code)
-    proj_tables = []
-    for dictator in range(1, arity + 1):
-        per = []
-        for jj in range(m):
-            values = d.projections[jj]
-            table = tuple(
-                args[dictator - 1] for args in product(values, repeat=arity)
-            )
-            per.append(table)
-        proj_tables.append(tuple(per))
-
-    def emit(combo) -> AggregatorTuple:
-        return AggregatorTuple(
-            arity=arity,
-            components=tuple(
-                OperationTable(
-                    issue=jj + 1,
-                    arity=arity,
-                    values=d.projections[jj],
-                    table=combo[jj],
-                )
-                for jj in range(m)
-            ),
-        )
-
-    def is_trivial(combo) -> bool:
-        return any(
-            all(combo[jj] == proj[jj] for jj in range(m)) for proj in proj_tables
-        )
-
-    found: list[AggregatorTuple] = []
-    nodes = 0
-    sel_range = range(len(selections))
-    if m == 2:
-        c1, c2 = cell_of
-        b2 = bases[1]
-        for combo in product(*per_issue_tables):
-            nodes += 1
-            t1, t2 = combo
-            for si in sel_range:
-                if t1[c1[si]] * b2 + t2[c2[si]] not in feasible_codes:
-                    break
-            else:
-                if collect_all:
-                    found.append(emit(combo))
-                elif not is_trivial(combo):
-                    return SearchOutcome(FOUND, emit(combo), SearchStats(nodes, 0)), found
-    elif m == 3:
-        c1, c2, c3 = cell_of
-        b2, b3 = bases[1], bases[2]
-        for combo in product(*per_issue_tables):
-            nodes += 1
-            t1, t2, t3 = combo
-            for si in sel_range:
-                if (
-                    (t1[c1[si]] * b2 + t2[c2[si]]) * b3 + t3[c3[si]]
-                    not in feasible_codes
-                ):
-                    break
-            else:
-                if collect_all:
-                    found.append(emit(combo))
-                elif not is_trivial(combo):
-                    return SearchOutcome(FOUND, emit(combo), SearchStats(nodes, 0)), found
-    else:
-        jj_range = range(m)
-        for combo in product(*per_issue_tables):
-            nodes += 1
-            closed = True
-            for si in sel_range:
-                code = 0
-                for jj in jj_range:
-                    code = code * bases[jj] + combo[jj][cell_of[jj][si]]
-                if code not in feasible_codes:
-                    closed = False
-                    break
-            if not closed:
-                continue
-            if collect_all:
-                found.append(emit(combo))
-            elif not is_trivial(combo):
-                return SearchOutcome(FOUND, emit(combo), SearchStats(nodes, 0)), found
-    return SearchOutcome(EXHAUSTED, None, SearchStats(nodes, 0)), found
-
-
-def bruteforce_binary(d: Domain, budget: SearchBudget | None = None) -> SearchOutcome:
-    """Exhaustive binary oracle: first non-dictatorial closed tuple, if any."""
-    outcome, _ = _oracle_scan(d, 2, budget or SearchBudget(), collect_all=False)
-    return outcome
-
-
-def bruteforce_ternary_nontrivial(
-    d: Domain, budget: SearchBudget | None = None
-) -> SearchOutcome:
-    """Exhaustive ternary oracle; practical only at Boolean scale."""
-    outcome, _ = _oracle_scan(d, 3, budget or SearchBudget(), collect_all=False)
-    return outcome
-
-
-def all_binary_aggregators(
-    d: Domain, budget: SearchBudget | None = None
-) -> tuple[AggregatorTuple, ...]:
-    """Every closed binary tuple, dictatorial ones included."""
-    _, found = _oracle_scan(d, 2, budget or SearchBudget(), collect_all=True)
-    return tuple(found)

@@ -24,12 +24,14 @@ from agorad.cli import main as cli_main
 from agorad.domain import two_element_subsets
 from agorad.fixtures import fixture_domain, fixture_text
 from agorad.mcsp import SAT, UNSAT, solve, verify_assignment
-from agorad.search import (
-    EXHAUSTED,
-    FOUND,
+from agorad.oracles import (
     all_binary_aggregators,
     bruteforce_binary,
     bruteforce_ternary_nontrivial,
+)
+from agorad.search import (
+    EXHAUSTED,
+    FOUND,
     find_binary_nondictatorial,
     find_majority,
     find_minority,

@@ -19,7 +19,8 @@ from agorad.blockedness import (
 from agorad.domain import build_domain, two_element_subsets
 from agorad.errors import PartitionUnavailableError
 from agorad.fixtures import fixture_domain
-from agorad.search import EXHAUSTED, bruteforce_binary, all_binary_aggregators
+from agorad.oracles import all_binary_aggregators, bruteforce_binary
+from agorad.search import EXHAUSTED
 
 from helpers import naive_multiply_constrained, random_boolean_domain, random_domain
 

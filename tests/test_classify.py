@@ -14,7 +14,8 @@ from agorad.classify import (
     serialize_report,
 )
 from agorad.fixtures import fixture_domain
-from agorad.search import FOUND, bruteforce_ternary_nontrivial
+from agorad.oracles import bruteforce_ternary_nontrivial
+from agorad.search import FOUND
 
 from helpers import random_boolean_domain, random_domain
 

@@ -1,9 +1,11 @@
 import contextlib
 import io
+from itertools import product
 
 import pytest
 
 from agorad.cli import main
+from agorad.domain import build_domain, serialize_domain
 from agorad.fixtures import fixture_text
 
 
@@ -247,3 +249,17 @@ class TestExitCodes:
         path.write_text("issues x\n")
         code, _ = run_cli("analyze", str(path))
         assert code == 2
+
+
+class TestTableBuildGuard:
+    def test_allow_large_domain_over_the_guard_exits_three(self, tmp_path, capsys):
+        rows = list(product("01", repeat=7))[:65]
+        d = build_domain([("0", "1")] * 7, rows, allow_large=True)
+        path = tmp_path / "large.dom"
+        path.write_text(serialize_domain(d))
+        code, out = run_cli(
+            "witness", str(path), "--kind", "majority", "--allow-large"
+        )
+        assert code == 3
+        assert out == ""
+        assert "table-build guard" in capsys.readouterr().err

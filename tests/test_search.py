@@ -1,29 +1,34 @@
 import random
+from itertools import product
 
 import pytest
 
-from agorad import aggregators
+from agorad import aggregators, search
 from agorad.aggregators import (
     FOUR_OPS,
     diamond,
+    eval_named,
     is_closed,
     is_dictatorial,
     is_locally_monomorphic,
     is_uniformly_nondictatorial,
+    projection_table,
     restriction_class,
     serialize_aggregator,
 )
-from agorad.domain import two_element_subsets
+from agorad.domain import build_domain, two_element_subsets
 from agorad.errors import CapacityError
 from agorad.fixtures import fixture_domain
+from agorad.oracles import (
+    all_binary_aggregators,
+    bruteforce_binary,
+    bruteforce_ternary_nontrivial,
+)
 from agorad.search import (
     BUDGET_EXCEEDED,
     EXHAUSTED,
     FOUND,
     SearchBudget,
-    all_binary_aggregators,
-    bruteforce_binary,
-    bruteforce_ternary_nontrivial,
     find_binary_nondictatorial,
     find_component_nonprojection,
     find_majority,
@@ -297,6 +302,159 @@ class TestBudgets:
     def test_invalid_budget_rejected(self):
         with pytest.raises(ValueError):
             SearchBudget(max_nodes=0)
+
+    def test_table_build_and_propagation_honour_time_budget(self):
+        # 0 search nodes: all the time goes into setting the search up
+        d = fixture_domain("full-boolean-5")
+        search._propagation_tables.cache_clear()
+        outcome = find_majority(d, SearchBudget(max_millis=1))
+        assert outcome.status == BUDGET_EXCEEDED
+        assert outcome.stats.nodes == 0
+
+    def test_table_build_capacity_guard(self):
+        rows = list(product("01", repeat=7))[:65]
+        d = build_domain([("0", "1")] * 7, rows, allow_large=True)
+        with pytest.raises(CapacityError, match="table-build guard"):
+            find_majority(d)
+        assert find_binary_nondictatorial(d, direct=True).status == FOUND
+
+
+FIXTURE_NAMES = (
+    "w", "example2", "example3", "wxw", "y-horn", "z-affine", "yz-product"
+) + tuple(f"full-boolean-{m}" for m in range(1, 7))
+
+# (arity, the planner's law, the law stated here on argument tuples)
+LAWS = {
+    "majority": (
+        3,
+        search._majority_law,
+        lambda args: next((v for v in args if args.count(v) >= 2), None),
+    ),
+    "minority": (
+        3,
+        search._minority_law,
+        lambda args: next((v for v in args if args.count(v) % 2), None)
+        if len(set(args)) < 3
+        else None,
+    ),
+    "free binary": (
+        2,
+        search._free_law,
+        lambda args: args[0] if len(set(args)) == 1 else None,
+    ),
+}
+
+
+def planned_cells(d, arity, plan):
+    """Each planned cell with its decoded arguments; every cell exactly once.
+
+    Yields ('forced', jj, args, value) per preassigned cell and ('choice',
+    jj, [args per tied cell], choices) per variable.
+    """
+    preassigned, variables = plan
+    tables = [projection_table(d, j, arity, 1) for j in range(1, d.issue_count + 1)]
+    seen = []
+    for jj, idx, value in preassigned:
+        seen.append((jj, idx))
+        yield "forced", jj, tables[jj].cell_args(idx), value
+    for var in variables:
+        seen.extend(var.cells)
+        jj = var.cells[0][0]
+        assert all(cell[0] == jj for cell in var.cells)
+        args = [tables[jj].cell_args(idx) for _, idx in var.cells]
+        yield "choice", jj, args, var.choices
+    assert sorted(seen) == [
+        (jj, idx) for jj, table in enumerate(tables) for idx in range(len(table.table))
+    ]
+
+
+class TestPlanLayout:
+    """Plans decoded with OperationTable.cell_args match their laws."""
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    @pytest.mark.parametrize("law_name", sorted(LAWS))
+    def test_law_plans(self, name, law_name):
+        d = fixture_domain(name)
+        arity, engine_law, law = LAWS[law_name]
+        plan = search._plan_by_law(d, arity, engine_law)
+        for kind, _, args, value in planned_cells(d, arity, plan):
+            if kind == "forced":
+                assert value == law(args) is not None
+            else:
+                (cell_args,) = args
+                assert law(cell_args) is None
+                assert value == tuple(dict.fromkeys(cell_args))
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_uniform_plan(self, name):
+        d = fixture_domain(name)
+        for kind, _, args, value in planned_cells(d, 3, search._plan_uniform(d)):
+            if kind == "forced":
+                assert len(set(args)) == 1 and value == args[0]
+            elif len(args) == 1:
+                assert len(set(args[0])) == 3 and value == args[0]
+            else:
+                first = args[0]
+                solo = next(v for v in first if first.count(v) == 1)
+                dup = next(v for v in first if first.count(v) == 2)
+                assert sorted(args) == sorted(
+                    {(solo, dup, dup), (dup, solo, dup), (dup, dup, solo)}
+                )
+                assert value == (min(solo, dup), max(solo, dup))
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_component_plans(self, name):
+        d = fixture_domain(name)
+        free = LAWS["free binary"][2]
+        for j in range(1, d.issue_count + 1):
+            for pair in two_element_subsets(d, j):
+                for op in search._PIN_ORDER:
+                    plan = search._plan_component(d, j, pair, op)
+                    pinned = 0
+                    for kind, jj, args, value in planned_cells(d, 3, plan):
+                        if kind == "choice":
+                            (cell_args,) = args
+                            assert not (jj == j - 1 and set(cell_args) <= set(pair))
+                            assert free(cell_args) is None
+                            assert value == tuple(dict.fromkeys(cell_args))
+                        elif jj == j - 1 and set(args) <= set(pair):
+                            pinned += 1
+                            assert value == eval_named(op.lower(), pair, *args)
+                        else:
+                            assert value == free(args) is not None
+                    assert pinned == 8
+                    distances = [abs(var.cells[0][0] - (j - 1)) for var in plan[1]]
+                    assert distances == sorted(distances)
+
+
+class TestComponentRerunPass:
+    """A one-node probe leaves pins unresolved, so the rerun pass decides."""
+
+    @staticmethod
+    def cases(*domains):
+        return [
+            (d, j, pair)
+            for d in domains
+            for j in range(1, d.issue_count + 1)
+            for pair in two_element_subsets(d, j)
+        ]
+
+    def test_same_status_as_default(self, monkeypatch, yz_product, example3):
+        cases = self.cases(yz_product, example3)
+        default = [find_component_nonprojection(*case).status for case in cases]
+        monkeypatch.setattr(search, "_PROBE_NODES", 1)
+        searches = count_calls(monkeypatch, search.run_table_search)
+        rerun = [find_component_nonprojection(*case).status for case in cases]
+        assert rerun == default
+        assert len(searches) > 4 * len(cases)
+
+    def test_reported_nodes_within_budget(self, monkeypatch, yz_product, example3):
+        monkeypatch.setattr(search, "_PROBE_NODES", 1)
+        for case in self.cases(yz_product, example3):
+            for max_nodes in (1, 2, 7):
+                budget = SearchBudget(max_nodes=max_nodes)
+                outcome = find_component_nonprojection(*case, budget)
+                assert outcome.stats.nodes <= max_nodes
 
 
 class TestDeterminism:
