@@ -3,10 +3,11 @@
 The language consists of the feasible set itself, with signature
 (1, ..., m), plus every non-empty subset of every issue's alphabet as a
 unary relation on that sort. Instances assign each variable a sort and
-constrain tuples of variables by those relations; the solver is a plain
-backtracker with unary filtering and checks on fully assigned scopes. The
-tractability label computed elsewhere classifies the problem; it makes no
-promise about this solver's running time.
+constrain tuples of variables by those relations. The solver runs the
+engine of the witness searches (``agorad.search``), which checks an
+X-constraint, and forces values through it, once any variable in it is set.
+The tractability label computed elsewhere classifies the problem; it makes
+no promise about the solver's running time.
 
 Instance file format (``#`` starts a comment)::
 
@@ -24,7 +25,14 @@ from pathlib import Path
 
 from .domain import Domain, parse_domain, require_valid
 from .errors import CapacityError, ParseError, SignatureError, VerificationError
-from .search import SearchBudget
+from .search import (
+    EXHAUSTED,
+    FOUND,
+    SearchBudget,
+    _deadline,
+    _search_instance,
+    _Var,
+)
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -243,70 +251,47 @@ def verify_assignment(inst: McspInstance, assignment) -> bool:
 
 
 def solve(inst: McspInstance, budget: SearchBudget | None = None) -> SolveResult:
-    """Backtracking solver; SAT certificates are re-verified before return.
+    """Engine search, one cell per variable; SAT is re-verified before return.
 
     Variables are ordered by candidate count (most constrained first,
-    declaration order breaking ties), values by code. UNSAT comes only
-    from a complete search; running out of budget yields UNKNOWN.
+    declaration order breaking ties), values by code, and the first
+    solution in that order is returned. UNSAT comes only from a complete
+    search; running out of budget yields UNKNOWN.
     """
     budget = budget or SearchBudget()
+    deadline = _deadline(budget)
     domain = inst.domain
-    candidates: dict[str, list[int]] = {}
-    for v in inst.variables:
-        cands = set(range(len(domain.alphabets[inst.sorts[v] - 1])))
-        for con in inst.constraints:
-            if isinstance(con, SubsetConstraint) and con.var == v:
-                cands &= con.allowed
-        candidates[v] = sorted(cands)
-
-    order = sorted(
-        inst.variables, key=lambda v: (len(candidates[v]), inst.variables.index(v))
-    )
-    position = {v: i for i, v in enumerate(order)}
-    # an X-constraint is checked as soon as its last scope variable lands
-    checks_at: list[list[XConstraint]] = [[] for _ in order]
+    position = {v: cell for cell, v in enumerate(inst.variables)}
+    candidates = [
+        set(range(len(domain.alphabets[inst.sorts[v] - 1]))) for v in inst.variables
+    ]
+    scopes = []
     for con in inst.constraints:
-        if isinstance(con, XConstraint):
-            if con.scope:
-                last = max(position[v] for v in con.scope)
-                checks_at[last].append(con)
-
-    values: dict[str, int] = {}
-    nodes = 0
-    vi = 0
-    pointers = [0] * (len(order) + 1)
-    while True:
-        if vi == len(order):
-            assignment = {
-                v: domain.token(inst.sorts[v], values[v]) for v in inst.variables
-            }
-            if not verify_assignment(inst, assignment):
-                raise VerificationError("solver produced a non-verifying assignment")
-            return SolveResult(SAT, assignment)
-        var = order[vi]
-        ci = pointers[vi]
-        if ci >= len(candidates[var]):
-            if vi == 0:
-                return SolveResult(UNSAT, None)
-            values.pop(var, None)
-            vi -= 1
-            pointers[vi] += 1
-            continue
-        nodes += 1
-        if nodes > budget.max_nodes:
-            return SolveResult(UNKNOWN, None)
-        values[var] = candidates[var][ci]
-        ok = True
-        for con in checks_at[vi]:
-            row = tuple(values[v] for v in con.scope)
-            if row not in domain.feasible_set:
-                ok = False
-                break
-        if ok:
-            vi += 1
-            pointers[vi] = 0
+        if isinstance(con, SubsetConstraint):
+            candidates[position[con.var]] &= con.allowed
         else:
-            pointers[vi] += 1
+            scopes.append(tuple(position[v] for v in con.scope))
+    watchers = [[] for _ in inst.variables]
+    for ti, scope in enumerate(scopes):
+        for cell in scope:
+            watchers[cell].append(ti)
+    order = sorted(position.values(), key=lambda cell: (len(candidates[cell]), cell))
+    status, values, _ = _search_instance(
+        domain,
+        ([inst.sorts[v] - 1 for v in inst.variables], watchers, scopes),
+        (),
+        [_Var((cell,), tuple(sorted(candidates[cell]))) for cell in order],
+        budget,
+        deadline,
+    )
+    if status != FOUND:
+        return SolveResult(UNSAT if status == EXHAUSTED else UNKNOWN, None)
+    assignment = {
+        v: domain.token(inst.sorts[v], values[cell]) for v, cell in position.items()
+    }
+    if not verify_assignment(inst, assignment):
+        raise VerificationError("solver produced a non-verifying assignment")
+    return SolveResult(SAT, assignment)
 
 
 def serialize_result(inst: McspInstance, result: SolveResult) -> str:

@@ -1,16 +1,15 @@
 """Witness searches: backtracking over operation tables.
 
-The searches share one engine. A search plan preassigns the cells a
+All searches, and ``mcsp.solve``, share one engine core that solves a
+multi-sorted conservative CSP over X: cells taking values of their issue,
+and scopes of one cell per issue that must read a feasible row. In a
+table search the cells are the table cells and every selection of
+feasible rows is a scope, so a leaf is closed by construction (wrappers
+still re-verify with is_closed). A search plan preassigns the cells a
 witness kind forces (equal-argument cells, the majority or minority law,
 a pinned two-element restriction) and leaves the rest as decision
-variables with their supportive value choices. The engine walks variables
-in canonical order and forward-checks closure: for every selection of
-feasible rows it tracks, as a bitmask, which feasible rows are still
-compatible with the image coordinates assigned so far. A mask hitting
-zero kills the branch, and a leaf is reached only when every image row
-lands inside the feasible set, so leaves are closed by construction
-(wrappers still re-verify with is_closed). The brute-force oracles that
-cross-examine these searches live in ``agorad.oracles``.
+variables with their supportive value choices. The brute-force oracles
+that cross-examine these searches live in ``agorad.oracles``.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 
 from .aggregators import (
     FOUR_OPS,
@@ -69,19 +68,20 @@ class SearchOutcome:
 class _Var:
     """One decision: a set of tied cells receiving one value."""
 
-    cells: tuple[tuple[int, int], ...]  # (0-based issue, cell index)
+    cells: tuple  # (0-based issue, cell index) in plans, flat cells in the core
     choices: tuple[int, ...]
+
+
+def _deadline(budget: SearchBudget) -> float:
+    return time.monotonic() + budget.max_millis / 1000.0
 
 
 @lru_cache(maxsize=4)
 def _propagation_tables(d: Domain, arity: int):
-    """Watch lists for the engine: which row selections read which cell.
+    """The engine instance of the tables of one arity, and its cell offsets.
 
-    Returns (watchers, cells_of, value_masks, selection_count) where
-    watchers[jj][cell] lists row-selection indices whose image coordinate
-    at issue jj is produced by that cell, cells_of[ti] holds the cell per
-    issue of selection ti, and value_masks[jj][code] is the bitmask of
-    feasible rows whose jj-th coordinate equals code.
+    Cell idx of issue jj is flat cell offsets[jj] + idx; scope ti holds per
+    issue the cell that produces the image coordinate of row selection ti.
 
     Refuses, before allocating, more row selections than a ternary search
     on a domain at the parse guard's row limit needs.
@@ -94,90 +94,78 @@ def _propagation_tables(d: Domain, arity: int):
             f"of {MAX_FEASIBLE**3}"
         )
     m = d.issue_count
-    pos_per_issue = []
-    for jj in range(m):
-        proj = d.projections[jj]
-        pos_per_issue.append({v: i for i, v in enumerate(proj)})
-    value_masks = []
-    for jj in range(m):
-        masks: dict[int, int] = {}
-        for r, row in enumerate(rows):
-            masks[row[jj]] = masks.get(row[jj], 0) | (1 << r)
-        value_masks.append(masks)
-    watchers = [
-        [[] for _ in range(len(d.projections[jj]) ** arity)] for jj in range(m)
-    ]
-    cells_of = []
-    pcols = [[pos_per_issue[jj][row[jj]] for row in rows] for jj in range(m)]
     ks = [len(d.projections[jj]) for jj in range(m)]
+    offsets = (0, *accumulate(k**arity for k in ks))
+    issue_of = tuple(jj for jj in range(m) for _ in range(ks[jj] ** arity))
+    watchers = [[] for _ in issue_of]
+    scopes = []
+    pcols = [[d.projections[jj].index(row[jj]) for row in rows] for jj in range(m)]
     for ti, selection in enumerate(product(range(n_rows), repeat=arity)):
-        per_issue_cells = []
-        for jj in range(m):
-            k = ks[jj]
-            pcol = pcols[jj]
+        scope = []
+        for k, pcol, offset in zip(ks, pcols, offsets):
             idx = 0
             for r in selection:
                 idx = idx * k + pcol[r]
-            watchers[jj][idx].append(ti)
-            per_issue_cells.append(idx)
-        cells_of.append(tuple(per_issue_cells))
-    frozen = tuple(tuple(tuple(w) for w in per_issue) for per_issue in watchers)
-    return frozen, tuple(cells_of), tuple(value_masks), n_rows**arity
+            watchers[offset + idx].append(ti)
+            scope.append(offset + idx)
+        scopes.append(tuple(scope))
+    return offsets, (issue_of, tuple(map(tuple, watchers)), tuple(scopes))
 
 
-def run_table_search(
+def _search_instance(
     d: Domain,
-    arity: int,
+    instance,
     preassigned,
     variables,
+    budget: SearchBudget,
+    deadline: float,
     *,
-    budget: SearchBudget | None = None,
     accept=None,
     order_by_tightness: bool = False,
-) -> SearchOutcome:
-    """Depth-first search over the plan's variables, first accepted leaf wins.
+):
+    """Depth-first search over an X-instance; returns (status, leaf, stats).
 
-    Variables are tried in the given order, choices in their given order,
-    so identical inputs always produce identical outcomes. ``accept`` may
-    reject a complete candidate to keep searching (used to filter out
-    dictatorial solutions).
+    ``instance`` is (issue_of, watchers, scopes): cell c takes a code of
+    issue ``issue_of[c]``, a scope holds one cell per issue whose values
+    must form a feasible row, and ``watchers[c]`` lists the scopes holding
+    c. A scope's bitmask of the feasible rows still compatible with its
+    assigned cells hitting zero kills the branch. Every cell is preassigned,
+    as a (cell, value) pair, or in a variable. Variables and choices are
+    tried in the given order, so identical inputs give identical outcomes.
+    ``accept`` may reject a leaf (the list of cell values) to keep searching.
 
-    Propagation has one forcing rule: assigning a cell intersects the
-    viable-row mask of every selection reading it, and when a mask drops
-    to at most four rows, every coordinate those rows agree on is forced
-    onto the cell producing it, cascading (a single viable row forces all
-    of its coordinates). Forced values never involve a choice, so they
-    cannot perturb which leaf is reached first.
-
-    The deadline starts before the propagation tables are built and is
-    read once after the preassignment propagation, then every 2048 nodes.
+    When a mask drops to at most four rows, every coordinate those rows
+    agree on is forced onto its cell, cascading. Forced values are implied
+    by the assignment, so propagation only cuts subtrees holding no leaf and
+    never changes which leaf comes first. The deadline is read between
+    preassigned cells, after their propagation, then every 2048 nodes.
     """
-    budget = budget or SearchBudget()
-    deadline = time.monotonic() + budget.max_millis / 1000.0
-    watchers, cells_of, value_masks, selection_count = _propagation_tables(d, arity)
+    issue_of, watchers, scopes = instance
     rows = d.feasible
-    m = d.issue_count
-    full_mask = (1 << len(rows)) - 1
-    masks = [full_mask] * selection_count
-    tables = [[-1] * (len(d.projections[jj]) ** arity) for jj in range(m)]
-    # trail entries: (0, ti, old_mask) restores a mask, (1, jj, cell) clears a cell
-    trail: list[tuple[int, int, int]] = []
-    pending: list[int] = []  # selections whose mask dropped to <= 4 rows
+    value_masks: list[dict[int, int]] = [{} for _ in range(d.issue_count)]
+    for r, row in enumerate(rows):
+        for jj, code in enumerate(row):
+            value_masks[jj][code] = value_masks[jj].get(code, 0) | (1 << r)
+    masks = [(1 << len(rows)) - 1] * len(scopes)
+    values = [-1] * len(issue_of)
+    # trail entries: ti >= 0 restores masks[ti] to old, ~cell clears a cell
+    trail: list[tuple[int, int]] = []
+    pending: list[int] = []  # scopes whose mask dropped to <= 4 rows
     nodes = 0
     prunes = 0
 
-    def set_cell(jj: int, cell: int, value: int) -> bool:
-        current = tables[jj][cell]
+    def set_cell(cell: int, value: int) -> bool:
+        current = values[cell]
         if current != -1:
             return current == value
-        tables[jj][cell] = value
-        trail.append((1, jj, cell))
-        gain = value_masks[jj].get(value, 0)
-        for ti in watchers[jj][cell]:
+        values[cell] = value
+        trail.append((~cell, 0))
+        gain = value_masks[issue_of[cell]].get(value, 0)
+        for ti in watchers[cell]:
             old = masks[ti]
             new = old & gain
             if new != old:
-                trail.append((0, ti, old))
+                trail.append((ti, old))
                 masks[ti] = new
                 if not new:
                     return False
@@ -191,100 +179,76 @@ def run_table_search(
             mask = masks[ti]
             if mask == 0 or mask.bit_count() > 4:
                 continue  # stale entry from an undone branch
-            viable = []
-            remaining = mask
-            while remaining:
-                bit = remaining & -remaining
-                viable.append(rows[bit.bit_length() - 1])
-                remaining ^= bit
-            first = viable[0]
-            for jj2, cell2 in enumerate(cells_of[ti]):
-                if tables[jj2][cell2] != -1:
+            viable = None
+            for jj, cell in enumerate(scopes[ti]):
+                if values[cell] != -1:
                     continue
-                value2 = first[jj2]
-                if all(row[jj2] == value2 for row in viable[1:]):
-                    if not set_cell(jj2, cell2, value2):
+                if viable is None:
+                    viable = []
+                    remaining = mask
+                    while remaining:
+                        bit = remaining & -remaining
+                        viable.append(rows[bit.bit_length() - 1])
+                        remaining ^= bit
+                value = viable[0][jj]
+                if all(row[jj] == value for row in viable):
+                    if not set_cell(cell, value):
                         return False
         return True
 
     def undo(mark: int) -> None:
         while len(trail) > mark:
-            kind, a, b = trail.pop()
-            if kind == 0:
-                masks[a] = b
+            key, old = trail.pop()
+            if key >= 0:
+                masks[key] = old
             else:
-                tables[a][b] = -1
+                values[~key] = -1
 
-    pending.clear()
-    for jj, cell, value in preassigned:
-        if not set_cell(jj, cell, value):
-            return SearchOutcome(EXHAUSTED, None, SearchStats(nodes, prunes + 1))
+    def stop(status):
+        return status, None, SearchStats(nodes, prunes)
+
+    for cell, value in preassigned:
+        if time.monotonic() > deadline:
+            return stop(BUDGET_EXCEEDED)
+        if not set_cell(cell, value):
+            return EXHAUSTED, None, SearchStats(0, 1)
     if not propagate():
-        return SearchOutcome(EXHAUSTED, None, SearchStats(nodes, prunes + 1))
+        return EXHAUSTED, None, SearchStats(0, 1)
     if time.monotonic() > deadline:
-        return SearchOutcome(BUDGET_EXCEEDED, None, SearchStats(nodes, prunes))
+        return stop(BUDGET_EXCEEDED)
 
     if order_by_tightness:
-        # fail-first: variables entangled with the tightest selections go
+        # fail-first: variables entangled with the tightest scopes go
         # first; the key is fixed after the preassignment propagation, so
-        # the order stays a deterministic function of the plan
+        # the order stays a deterministic function of the instance
         def tightness(var: _Var) -> int:
-            best = 1 << 30
-            for jj, cell in var.cells:
-                for ti in watchers[jj][cell]:
-                    count = masks[ti].bit_count()
-                    if count < best:
-                        best = count
-            return best
+            return min(
+                (masks[ti].bit_count() for cell in var.cells for ti in watchers[cell]),
+                default=1 << 30,
+            )
 
         variables = sorted(variables, key=tightness)
-
-    def snapshot() -> AggregatorTuple:
-        comps = tuple(
-            OperationTable(
-                issue=jj + 1,
-                arity=arity,
-                values=d.projections[jj],
-                table=tuple(tables[jj]),
-            )
-            for jj in range(m)
-        )
-        return AggregatorTuple(arity=arity, components=comps)
 
     var_count = len(variables)
     next_choice = [0] * (var_count + 1)
     marks = [0] * (var_count + 1)
     vi = 0
     while True:
-        if vi == var_count:
-            candidate = snapshot()
-            if accept is None or accept(candidate):
-                return SearchOutcome(FOUND, candidate, SearchStats(nodes, prunes))
-            if vi == 0:
-                return SearchOutcome(EXHAUSTED, None, SearchStats(nodes, prunes))
-            vi -= 1
-            undo(marks[vi])
-            next_choice[vi] += 1
-            continue
-        var = variables[vi]
-        # cells already fixed by propagation narrow the variable to one value
-        forced = -1
-        dead = False
-        for jj, cell in var.cells:
-            current = tables[jj][cell]
-            if current != -1:
-                if forced == -1:
-                    forced = current
-                elif forced != current:
-                    dead = True
-                    break
-        if not dead and forced != -1 and forced not in var.choices:
-            dead = True
-        choices = var.choices if forced == -1 else (forced,)
+        if vi < var_count:
+            var = variables[vi]
+            # cells already fixed by propagation narrow the variable to one value
+            choices = var.choices
+            for cell in var.cells:
+                if values[cell] != -1:
+                    choices = (values[cell],) if values[cell] in choices else ()
+        elif accept is None or accept(values):
+            return FOUND, values, SearchStats(nodes, prunes)
+        else:
+            choices = ()  # a rejected leaf
         ci = next_choice[vi]
-        if dead or ci >= len(choices):
+        if ci >= len(choices):
             if vi == 0:
-                return SearchOutcome(EXHAUSTED, None, SearchStats(nodes, prunes))
+                return stop(EXHAUSTED)
             vi -= 1
             undo(marks[vi])
             next_choice[vi] += 1
@@ -293,25 +257,67 @@ def run_table_search(
         if nodes == budget.max_nodes or (
             nodes & _TIME_CHECK_MASK == _TIME_CHECK_MASK and time.monotonic() > deadline
         ):
-            return SearchOutcome(BUDGET_EXCEEDED, None, SearchStats(nodes, prunes))
+            return stop(BUDGET_EXCEEDED)
         nodes += 1
         marks[vi] = len(trail)
         pending.clear()
         value = choices[ci]
-        ok = True
-        for jj, cell in var.cells:
-            if not set_cell(jj, cell, value):
-                ok = False
-                break
-        if ok:
-            ok = propagate()
-        if ok:
+        if all(set_cell(cell, value) for cell in var.cells) and propagate():
             vi += 1
             next_choice[vi] = 0
         else:
             prunes += 1
             undo(marks[vi])
             next_choice[vi] += 1
+
+
+def run_table_search(
+    d: Domain,
+    arity: int,
+    preassigned,
+    variables,
+    *,
+    budget: SearchBudget | None = None,
+    accept=None,
+    order_by_tightness: bool = False,
+) -> SearchOutcome:
+    """Search the plan's tables of one arity; the first accepted leaf wins.
+
+    ``preassigned`` holds (issue, cell, value) triples, issues 0-based.
+    ``accept`` may reject a complete candidate to keep searching (used to
+    filter out dictatorial solutions). The deadline starts before the
+    propagation tables are built.
+    """
+    budget = budget or SearchBudget()
+    deadline = _deadline(budget)
+    offsets, instance = _propagation_tables(d, arity)
+
+    def snapshot(values) -> AggregatorTuple:
+        comps = tuple(
+            OperationTable(
+                issue=jj + 1,
+                arity=arity,
+                values=d.projections[jj],
+                table=tuple(values[offsets[jj] : offsets[jj + 1]]),
+            )
+            for jj in range(d.issue_count)
+        )
+        return AggregatorTuple(arity=arity, components=comps)
+
+    status, values, stats = _search_instance(
+        d,
+        instance,
+        [(offsets[jj] + idx, value) for jj, idx, value in preassigned],
+        [
+            _Var(tuple(offsets[jj] + idx for jj, idx in var.cells), var.choices)
+            for var in variables
+        ],
+        budget,
+        deadline,
+        accept=None if accept is None else (lambda values: accept(snapshot(values))),
+        order_by_tightness=order_by_tightness,
+    )
+    return SearchOutcome(status, snapshot(values) if status == FOUND else None, stats)
 
 
 def _dedup(args):
@@ -551,6 +557,9 @@ def find_component_nonprojection(
     budget on its exhaustion proof; unresolved pins then rerun with the
     full remainder. Exhausting all four pins means no aggregator of any
     arity has a non-projection restriction there.
+
+    The budget holds for the whole call: each pin search gets the nodes
+    and the milliseconds that remain.
     """
     require_valid(d)
     pair = tuple(pair)
@@ -559,6 +568,7 @@ def find_component_nonprojection(
     if any(v not in d.projection(j) for v in pair):
         raise ValueError(f"{pair!r} is not inside the projection of issue {j}")
     budget = budget or SearchBudget()
+    deadline = _deadline(budget)
     nodes = 0
     prunes = 0
 
@@ -577,7 +587,8 @@ def find_component_nonprojection(
     # (pin, probing); the loop appends each pin its probe left unresolved
     schedule = [(op, True) for op in _PIN_ORDER]
     for op, probing in schedule:
-        if nodes >= budget.max_nodes:
+        millis = int((deadline - time.monotonic()) * 1000)
+        if nodes >= budget.max_nodes or millis <= 0:
             return SearchOutcome(BUDGET_EXCEEDED, None, SearchStats(nodes, prunes))
         allowance = budget.max_nodes - nodes
         if probing:
@@ -588,7 +599,7 @@ def find_component_nonprojection(
             3,
             preassigned,
             variables,
-            budget=SearchBudget(max_nodes=allowance, max_millis=budget.max_millis),
+            budget=SearchBudget(max_nodes=allowance, max_millis=millis),
             order_by_tightness=True,
         )
         nodes += outcome.stats.nodes

@@ -1,4 +1,5 @@
-"""Shared test utilities: naive oracles, random domain samplers, a call counter.
+"""Shared test utilities: naive oracles, random domain samplers, a call
+counter, a fake clock.
 
 The naive functions here deliberately re-derive results from definitions
 with the dumbest possible loops so the package's optimized routines have
@@ -57,6 +58,23 @@ def count_calls(monkeypatch, original) -> list:
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+class FakeClock:
+    """Stands in for the ``time`` module of ``agorad.search``.
+
+    ``monotonic()`` returns the given readings one by one, then repeats the
+    last; ``now`` may also be set, or advanced, by the test itself.
+    """
+
+    def __init__(self, *readings):
+        self.readings = list(readings)
+        self.now = 0.0
+
+    def monotonic(self) -> float:
+        if self.readings:
+            self.now = self.readings.pop(0)
+        return self.now
 
 
 def naive_is_closed(d: Domain, agg) -> bool:

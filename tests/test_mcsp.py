@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from agorad import search
 from agorad.errors import ParseError, SignatureError
 from agorad.mcsp import (
     SAT,
@@ -17,8 +18,10 @@ from agorad.mcsp import (
     solve,
     verify_assignment,
 )
-from agorad.domain import build_domain
+from agorad.domain import build_domain, validate
 from agorad.search import SearchBudget
+
+from helpers import FakeClock
 
 
 def w_instance(w, extra=()):
@@ -124,6 +127,12 @@ class TestSolve:
         result = solve(inst, SearchBudget(max_nodes=1, max_millis=1000))
         assert result.status == UNKNOWN
 
+    def test_time_budget_unknown(self, monkeypatch, w):
+        # the clock passes the deadline at its second reading
+        monkeypatch.setattr(search, "time", FakeClock(0.0, 10.0))
+        result = solve(w_instance(w), SearchBudget(max_millis=1000))
+        assert result.status == UNKNOWN
+
     def test_serialization(self, w):
         inst = w_instance(
             w, [SubsetConstraint(var="v1", issue=1, allowed=frozenset({1}))]
@@ -212,3 +221,80 @@ class TestSolverOracle:
             else:
                 assert result.status == SAT
                 assert verify_assignment(inst, result.assignment)
+
+    def test_first_solution_in_solver_order(self, w, example2, z_affine):
+        rng = random.Random(13)
+        domains = [w, example2, z_affine]
+        for _ in range(40):
+            inst = random_instance(rng, rng.choice(domains))
+            assert solve(inst).assignment == ordered_exhaustive_solve(inst)
+
+
+def ordered_exhaustive_solve(inst):
+    """First solution in the solver's order: variables by candidate count,
+    declaration order breaking ties, values by code."""
+    domain = inst.domain
+    candidates = {}
+    for v in inst.variables:
+        allowed = set(range(len(domain.alphabets[inst.sorts[v] - 1])))
+        for con in inst.constraints:
+            if isinstance(con, SubsetConstraint) and con.var == v:
+                allowed &= con.allowed
+        candidates[v] = sorted(allowed)
+    order = sorted(
+        inst.variables, key=lambda v: (len(candidates[v]), inst.variables.index(v))
+    )
+    for combo in product(*(candidates[v] for v in order)):
+        assignment = {v: domain.token(inst.sorts[v], c) for v, c in zip(order, combo)}
+        if verify_assignment(inst, assignment):
+            return assignment
+    return None
+
+
+def dense_random_instance(draw_id):
+    """Seeded random instance: a 3-issue domain over 3 tokens with 8 to 16
+    rows; 20 to 30 variables with sorts in turn, three X-constraints per
+    variable on random scopes, and subset constraints on a quarter of the
+    variables."""
+    rng = random.Random(f"csp-solve:{draw_id}")
+    while True:
+        # the random stream of perfbench's csp-solve generator, which also
+        # draws each alphabet size from a tuple of sizes
+        alphabets = [tuple("abcd"[: rng.choice((3,))]) for _ in range(3)]
+        rows = rng.sample(list(product(*alphabets)), rng.randint(8, 16))
+        d = build_domain(alphabets, rows)
+        if validate(d).ok:
+            break
+    n = rng.randint(20, 30)
+    names = [f"v{i}" for i in range(n)]
+    sorts = {v: i % 3 + 1 for i, v in enumerate(names)}
+    by_sort = {j: names[j - 1 :: 3] for j in (1, 2, 3)}
+    constraints = [
+        XConstraint(scope=tuple(rng.choice(by_sort[j]) for j in (1, 2, 3)))
+        for _ in range(3 * n)
+    ]
+    for i in sorted(rng.sample(range(n), n // 4)):
+        alphabet = d.alphabets[i % 3]
+        allowed = rng.sample(alphabet, rng.randint(1, len(alphabet) - 1))
+        constraints.append(
+            SubsetConstraint(
+                var=names[i],
+                issue=i % 3 + 1,
+                allowed=frozenset(d.code(i % 3 + 1, tok) for tok in allowed),
+            )
+        )
+    return make_instance(d, names, sorts, constraints)
+
+
+class TestDenseInstances:
+    # draws that a solver checking each X-constraint only once its last
+    # variable is set left undecided after 20 000 nodes
+    STALLED = (17, 21, 38, 92, 101, 110)
+
+    @pytest.mark.parametrize("draw_id", STALLED)
+    def test_decided_within_budget(self, draw_id):
+        inst = dense_random_instance(draw_id)
+        result = solve(inst, SearchBudget(max_nodes=20_000))
+        assert result.status in (SAT, UNSAT)
+        if result.status == SAT:
+            assert verify_assignment(inst, result.assignment)

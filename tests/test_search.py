@@ -37,7 +37,7 @@ from agorad.search import (
     fold_diamond_cover,
 )
 
-from helpers import count_calls, random_boolean_domain, random_domain
+from helpers import FakeClock, count_calls, random_boolean_domain, random_domain
 
 
 def check_item4(d, agg):
@@ -310,6 +310,36 @@ class TestBudgets:
         outcome = find_majority(d, SearchBudget(max_millis=1))
         assert outcome.status == BUDGET_EXCEEDED
         assert outcome.stats.nodes == 0
+
+    def test_preassignment_reads_the_clock(self, monkeypatch):
+        # the majority law forces every cell of a Boolean domain, so the
+        # whole search is the preassignment; the deadline passes at the
+        # third reading of the clock
+        d = fixture_domain("full-boolean-4")
+        monkeypatch.setattr(search, "time", FakeClock(0.0, 0.0, 10.0))
+        outcome = find_majority(d, SearchBudget(max_millis=1000))
+        assert outcome.status == BUDGET_EXCEEDED
+        assert outcome.stats.nodes == 0
+
+    def test_component_search_has_one_deadline(self, monkeypatch, w):
+        # every pin exhausts on w; each pin search takes 0.5 s of the
+        # call's 1 s, so the third pin finds no time left
+        clock = FakeClock()
+        monkeypatch.setattr(search, "time", clock)
+        real = search.run_table_search
+        millis = []
+
+        def timed(*args, budget, **kwargs):
+            millis.append(budget.max_millis)
+            outcome = real(*args, budget=budget, **kwargs)
+            clock.now += 0.5
+            return outcome
+
+        monkeypatch.setattr(search, "run_table_search", timed)
+        budget = SearchBudget(max_millis=1000)
+        outcome = find_component_nonprojection(w, 1, (0, 1), budget)
+        assert outcome.status == BUDGET_EXCEEDED
+        assert millis == [1000, 500]
 
     def test_table_build_capacity_guard(self):
         rows = list(product("01", repeat=7))[:65]
