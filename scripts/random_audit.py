@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Cross-validate the decision procedures on random domains.
 
-Three independent agreements are audited:
+Four independent agreements are audited:
   blocked   strong connectivity of the pair graph vs the binary oracle
   ternary   the three-way witness disjunction vs the ternary oracle
             (boolean domains only)
   uniform   the direct uniform search vs the folded per-pair route
+  mipes     enumerate_mipes on every 2-sub-box and is_multiply_constrained
+            vs the definition-level scans of tests/helpers.py
 
 Exits non-zero on the first disagreement, printing the offending domain.
 """
@@ -15,6 +17,7 @@ import random
 import sys
 import time
 import warnings
+from itertools import product
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -25,8 +28,13 @@ from agorad.blockedness import EmptyBoxWarning  # noqa: E402
 
 warnings.simplefilter("ignore", EmptyBoxWarning)
 
-from agorad.blockedness import is_totally_blocked
-from agorad.domain import serialize_domain
+from agorad.blockedness import (
+    SubBox,
+    enumerate_mipes,
+    is_multiply_constrained,
+    is_totally_blocked,
+)
+from agorad.domain import serialize_domain, two_element_subsets
 from agorad.oracles import bruteforce_binary, bruteforce_ternary_nontrivial
 from agorad.search import (
     EXHAUSTED,
@@ -38,7 +46,12 @@ from agorad.search import (
     fold_diamond_cover,
 )
 
-from helpers import random_boolean_domain, random_domain
+from helpers import (
+    naive_mipes,
+    naive_multiply_constrained,
+    random_boolean_domain,
+    random_domain,
+)
 
 
 def audit_blocked(d) -> bool:
@@ -59,6 +72,14 @@ def audit_uniform(d) -> bool:
     return find_uniform(d).status == fold_diamond_cover(d).status
 
 
+def audit_mipes(d) -> bool:
+    pairs = (two_element_subsets(d, j) for j in range(1, d.issue_count + 1))
+    return all(
+        enumerate_mipes(d, SubBox(cells=cells)) == list(naive_mipes(d, cells, 1))
+        for cells in product(*pairs)
+    ) and is_multiply_constrained(d) == naive_multiply_constrained(d)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=100)
@@ -73,7 +94,7 @@ def main() -> int:
     )
     parser.add_argument(
         "--check",
-        choices=("blocked", "ternary", "uniform", "all"),
+        choices=("blocked", "ternary", "uniform", "mipes", "all"),
         default="all",
     )
     args = parser.parse_args()
@@ -98,6 +119,8 @@ def main() -> int:
         checks.append(("ternary", audit_ternary, boolean))
     if args.check in ("uniform", "all"):
         checks.append(("uniform", audit_uniform, general))
+    if args.check in ("mipes", "all"):
+        checks.append(("mipes", audit_mipes, general))
 
     start = time.monotonic()
     for i in range(args.count):

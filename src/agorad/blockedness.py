@@ -15,18 +15,22 @@ connected; otherwise any source component of the condensation yields a
 binary non-dictatorial aggregator by projecting one side of the partition
 onto first arguments and the other onto second arguments.
 
-The graph is built on bitmasks. Inside a 2-sub-box a feasible row is an
-m-bit mask, one bit per issue (issue j owns bit m - j), set where the row
-takes the cell's second value. A box with no row is counted for a single
-EmptyBoxWarning; a box with one row has only single-issue MIPEs, which
-wire no edge, and is skipped. Otherwise the projection P_K = {r & K} is
-built once per support mask K, and an assignment a on K is a MIPE when a
-is not in P_K but every restriction to K - {i} is in P_{K - {i}}. On a
-2-sub-box this subset-minimality equals the flip-minimality above: each
-cell has one other value, so a row agreeing with a off issue i agrees at
-i as well (impossible, a is infeasible) or is exactly the flip at i.
-``enumerate_mipes`` and the sub-box scan of ``is_multiply_constrained``
-keep the direct, definition-level enumeration.
+MIPEs are found on bitmasks, by one enumerator for every box. Inside a
+box a feasible row is a mask with one field per issue, issue 1 in the
+most significant one; the field is max(1, bit_length(|cell| - 1)) bits
+wide and holds the position of the row's value in its cell, so on a
+2-sub-box each field is one bit, set on the cell's second value. The
+projection P_K = {r & K} is built once per issue set K, and an
+assignment a on K is a MIPE when a is not in P_K but every restriction
+to K - {i} is in P_{K - {i}}. This subset-minimality is the
+flip-minimality above: a row that agrees with a off issue i cannot agree
+at i as well (a is infeasible), so it holds another value of the cell.
+``build_graph`` counts 2-sub-boxes with no row for a single
+EmptyBoxWarning and skips those with one row, which have only
+single-issue MIPEs and wire no edge; ``is_multiply_constrained`` skips
+sub-boxes with fewer than three rows, since a MIPE on K needs |K|
+distinct rows, one per restoring flip. The definition-level scan is kept
+as the reference in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
+from math import prod
 
 from .aggregators import (
     AggregatorTuple,
@@ -110,6 +115,8 @@ def _check_box(d: Domain, box: SubBox) -> None:
             raise ValueError(f"box cell {jj + 1} is empty")
         if any(v not in d.projections[jj] for v in cell):
             raise ValueError(f"box cell {jj + 1} leaves the projection")
+        if len(set(cell)) != len(cell):
+            raise ValueError(f"box cell {jj + 1} repeats a value")
 
 
 def feasible_in_box(d: Domain, box: SubBox, support, assignment) -> bool:
@@ -135,53 +142,6 @@ def feasible_in_box(d: Domain, box: SubBox, support, assignment) -> bool:
     return False
 
 
-def _rows_in_box(d: Domain, cell_sets) -> list[tuple[int, ...]]:
-    m = d.issue_count
-    return [
-        row for row in d.feasible if all(row[jj] in cell_sets[jj] for jj in range(m))
-    ]
-
-
-def _mipes_over(d: Domain, box: SubBox, rows, min_support: int):
-    """Yield MIPEs on ``box`` over the prefiltered feasible rows inside it.
-
-    Enumerates supports by increasing size then lexicographically and
-    assignments lexicographically, so callers see a canonical order.
-    """
-    m = d.issue_count
-    for size in range(max(1, min_support), m + 1):
-        for support in combinations(range(1, m + 1), size):
-            jjs = [j - 1 for j in support]
-            for assignment in product(*(box.cells[jj] for jj in jjs)):
-                if any(
-                    all(row[jj] == v for jj, v in zip(jjs, assignment))
-                    for row in rows
-                ):
-                    continue  # feasible, not a MIPE
-                minimal = True
-                for i, jj in enumerate(jjs):
-                    restorable = False
-                    for alt in box.cells[jj]:
-                        if alt == assignment[i]:
-                            continue
-                        if any(
-                            row[jj] == alt
-                            and all(
-                                row[jj2] == v2
-                                for k2, (jj2, v2) in enumerate(zip(jjs, assignment))
-                                if k2 != i
-                            )
-                            for row in rows
-                        ):
-                            restorable = True
-                            break
-                    if not restorable:
-                        minimal = False
-                        break
-                if minimal:
-                    yield Mipe(box=box, support=support, assignment=assignment)
-
-
 def enumerate_mipes(d: Domain, box: SubBox) -> list[Mipe]:
     """All MIPEs of a 2-sub-box, in canonical order.
 
@@ -193,16 +153,15 @@ def enumerate_mipes(d: Domain, box: SubBox) -> list[Mipe]:
     _check_box(d, box)
     if not box.is_two_box:
         raise ValueError("expected a 2-sub-box")
-    cell_sets = [frozenset(c) for c in box.cells]
-    rows = _rows_in_box(d, cell_sets)
-    if not rows:
+    masks = _row_masks(d, box)
+    if not masks:
         warnings.warn(
             f"2-sub-box {box.cells} contains no feasible row",
             EmptyBoxWarning,
             stacklevel=2,
         )
         return []
-    return list(_mipes_over(d, box, rows, min_support=1))
+    return list(_projection_mipes(box, masks, 1))
 
 
 def _two_boxes(d: Domain):
@@ -269,79 +228,121 @@ def _strongly_connected_components(vertices, adjacency):
     return tuple(comps)
 
 
-def _guard_two_box_work(d: Domain) -> None:
-    boxes = 1
-    for j in range(1, d.issue_count + 1):
-        k = len(d.projections[j - 1])
-        boxes *= k * (k - 1) // 2
-    work = boxes * (4 ** d.issue_count)
+def _guard_work(d: Domain, boxes_per_issue, what: str) -> None:
+    """Refuse when the boxes times 4^m partial evaluations pass the bound."""
+    boxes = prod(boxes_per_issue(len(p)) for p in d.projections)
+    work = boxes * 4**d.issue_count
     if work > MAX_ENUMERATION_WORK:
         raise CapacityError(
-            f"graph enumeration estimate {work} exceeds {MAX_ENUMERATION_WORK}"
+            f"{what} enumeration estimate {work} exceeds {MAX_ENUMERATION_WORK}"
         )
 
 
 @lru_cache(maxsize=None)
-def _edge_supports(m: int):
-    """Supports of at least two issues, as (issues, mask, masks less one issue).
+def _fields(sizes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Shift and all-ones mask of each issue's field, by the cell sizes.
 
-    Issue j owns bit m - j, so the first issue is the most significant bit
-    and numeric order of assignment masks is lexicographic order of codes.
-    Supports come by size, then lexicographically.
+    The first issue is the most significant, so numeric order of masks is
+    lexicographic order of the positions.
     """
-    out = []
-    for size in range(2, m + 1):
-        for support in combinations(range(1, m + 1), size):
-            bits = [1 << (m - j) for j in support]
-            mask = sum(bits)
-            out.append((support, mask, tuple(mask ^ b for b in bits)))
-    return tuple(out)
+    widths = [max(1, (k - 1).bit_length()) for k in sizes]
+    shifts = tuple(sum(widths[jj + 1 :]) for jj in range(len(widths)))
+    return shifts, tuple((1 << w) - 1 for w in widths)
+
+
+@lru_cache(maxsize=256)  # bounded: an --allow-large alphabet makes each entry large
+def _placed(size: int, cell: tuple[int, ...], shift: int) -> tuple:
+    """Per code of an alphabet of ``size``: its position in the cell, shifted
+    into its field, or None off the cell."""
+    placed = [None] * size
+    for pos, value in enumerate(cell):
+        placed[value] = pos << shift
+    return tuple(placed)
+
+
+@lru_cache(maxsize=None)
+def _layout(sizes: tuple[int, ...], min_support: int):
+    """Field mask per issue set, and the supports of ``min_support`` or more
+    issues by size, then lexicographically.
+
+    An issue set is an m-bit index, issue j on bit m - j. Each support is
+    (issues, index, number of assignments, the first issue's positions in
+    place, the index of the support less its first issue, (index, field
+    mask) of the support less each other issue, (0-based issue, shift,
+    all-ones mask) per issue to read an assignment back).
+    """
+    m = len(sizes)
+    shifts, lows = _fields(sizes)
+    field_masks = tuple(
+        sum(lows[jj] << shifts[jj] for jj in range(m) if index >> (m - 1 - jj) & 1)
+        for index in range(1 << m)
+    )
+    supports = []
+    for size in range(min_support, m + 1):
+        for support in combinations(range(m), size):
+            bits = [1 << (m - 1 - jj) for jj in support]
+            index = sum(bits)
+            first = support[0]
+            supports.append((
+                tuple(jj + 1 for jj in support),
+                index,
+                prod(sizes[jj] for jj in support),
+                tuple(pos << shifts[first] for pos in range(sizes[first])),
+                index ^ bits[0],
+                tuple((index ^ b, field_masks[index ^ b]) for b in bits[1:]),
+                tuple((jj, shifts[jj], lows[jj]) for jj in support),
+            ))
+    return field_masks, tuple(supports)
 
 
 def _row_masks(d: Domain, box: SubBox) -> set[int]:
-    """Feasible rows inside the box, one bit per issue set on its second value."""
-    m = d.issue_count
+    """Feasible rows inside the box, each field the position in its cell."""
     cells = box.cells
+    shifts, _ = _fields(tuple(map(len, cells)))
+    placed = list(map(_placed, map(len, d.alphabets), cells, shifts))
+    issues = range(len(cells))
     masks = set()
     for row in d.feasible:
         mask = 0
-        for jj in range(m):
-            value = row[jj]
-            lo, hi = cells[jj]
-            if value == hi:
-                mask |= 1 << (m - 1 - jj)
-            elif value != lo:
+        for jj in issues:
+            bits = placed[jj][row[jj]]
+            if bits is None:
                 break
+            mask |= bits
         else:
             masks.add(mask)
     return masks
 
 
-def _projection_mipes(box: SubBox, masks: set[int], m: int):
-    """Yield the MIPEs of support size >= 2 on a 2-sub-box, canonical order.
+def _projection_mipes(box: SubBox, masks: set[int], min_support: int):
+    """Yield the MIPEs of support size >= ``min_support`` on a box, canonical
+    order: supports by size then lexicographically, assignments in product
+    order of the cells.
 
     ``masks`` holds the box's feasible rows (see ``_row_masks``); with
-    P_K = {r & K} the projection onto support mask K, an assignment a on K
-    is a MIPE iff a is absent from P_K and a & ~i lies in P_{K - i} for
-    every bit i of K.
+    P_K = {r & K} the projection onto the fields of issue set K, an
+    assignment a on K is a MIPE iff a is absent from P_K and a restricted
+    to K - {i} lies in P_{K - i} for every issue i of K.
     """
-    full = (1 << m) - 1
+    cells = box.cells
+    field_masks, supports = _layout(tuple(map(len, cells)), min_support)
+    full = len(field_masks) - 1
     projections = [()] * (full + 1)
     projections[full] = masks
-    for mask in range(full - 1, -1, -1):
-        wider = projections[mask | ((mask + 1) & ~mask)]  # add the lowest free bit
-        projections[mask] = {r & mask for r in wider}
-    cells = box.cells
-    for support, mask, narrower in _edge_supports(m):
-        present = projections[mask]
-        if len(present) == 1 << len(support):
+    for index in range(full - 1, -1, -1):
+        wider = projections[index | ((index + 1) & ~index)]  # add the lowest free bit
+        keep = field_masks[index]
+        projections[index] = {r & keep for r in wider}
+    for support, index, total, extensions, rest, narrower, reads in supports:
+        present = projections[index]
+        if len(present) == total:
             continue
-        first_bit = mask ^ narrower[0]
         found = []
-        for p in projections[narrower[0]]:  # every a with a & ~first_bit present
-            for a in (p, p | first_bit):
+        for p in projections[rest]:  # every a whose restriction to rest is present
+            for e in extensions:
+                a = p | e
                 if a not in present and all(
-                    (a & k) in projections[k] for k in narrower[1:]
+                    (a & keep) in projections[k] for k, keep in narrower
                 ):
                     found.append(a)
         for a in sorted(found):
@@ -349,7 +350,7 @@ def _projection_mipes(box: SubBox, masks: set[int], m: int):
                 box=box,
                 support=support,
                 assignment=tuple(
-                    cells[j - 1][(a >> (m - j)) & 1] for j in support
+                    cells[jj][(a >> shift) & low] for jj, shift, low in reads
                 ),
             )
 
@@ -358,20 +359,15 @@ def build_graph(d: Domain) -> BlockednessGraph:
     """Enumerate MIPEs over every 2-sub-box and assemble the edge set.
 
     Each box is worked on bitmasks, as the module docstring sets out: a
-    row inside the box is an m-bit mask, set where it takes the cell's
-    second value; a box with no row counts towards one EmptyBoxWarning and
-    a box with one row (single-issue MIPEs only, no edge) is skipped; the
-    MIPEs are the assignments missing from P_K = {r & K} whose every
-    restriction to K - {i} is in P_{K - {i}}, which on a 2-sub-box is the
-    definition's flip-minimality.
+    box with no row counts towards one EmptyBoxWarning and a box with one
+    row (single-issue MIPEs only, no edge) is skipped.
 
     One witness is kept per directed edge: the first MIPE found in the
     canonical box/support/assignment order, which makes the graph and its
     DOT rendering byte-reproducible.
     """
     require_valid(d)
-    _guard_two_box_work(d)
-    m = d.issue_count
+    _guard_work(d, lambda k: k * (k - 1) // 2, "graph")
     edge_witness: dict[tuple[Vertex, Vertex], Mipe] = {}
     empty_boxes = 0
     for box in _two_boxes(d):
@@ -381,7 +377,7 @@ def build_graph(d: Domain) -> BlockednessGraph:
             continue
         if len(masks) == 1:
             continue  # only single-issue MIPEs, which wire no edge
-        for mipe in _projection_mipes(box, masks, m):
+        for mipe in _projection_mipes(box, masks, 2):
             values = dict(zip(mipe.support, mipe.assignment))
             for k in mipe.support:
                 for l in mipe.support:
@@ -469,25 +465,15 @@ def is_multiply_constrained(d: Domain) -> bool:
     m = d.issue_count
     if m < 3:
         return False
-    boxes = 1
-    for j in range(1, m + 1):
-        boxes *= (1 << len(d.projections[j - 1])) - 1
-    if boxes * (4**m) > MAX_ENUMERATION_WORK:
-        raise CapacityError("sub-box enumeration exceeds the desk-scale guard")
-    subset_lists = []
-    for j in range(1, m + 1):
-        proj = d.projections[j - 1]
-        subsets = []
-        for size in range(1, len(proj) + 1):
-            subsets.extend(combinations(proj, size))
-        subset_lists.append(subsets)
+    _guard_work(d, lambda k: (1 << k) - 1, "sub-box")
+    subset_lists = [
+        [c for size in range(1, len(p) + 1) for c in combinations(p, size)]
+        for p in d.projections
+    ]
     for cells in product(*subset_lists):
-        box = SubBox(cells=tuple(cells))
-        cell_sets = [frozenset(c) for c in cells]
-        rows = _rows_in_box(d, cell_sets)
-        if not rows:
-            continue
-        for _ in _mipes_over(d, box, rows, min_support=3):
+        box = SubBox(cells=cells)
+        masks = _row_masks(d, box)
+        if len(masks) >= 3 and any(_projection_mipes(box, masks, 3)):
             return True
     return False
 

@@ -9,6 +9,7 @@ report never claims more than was actually proved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .aggregators import (
     AggregatorTuple,
@@ -26,6 +27,8 @@ from .search import (
     SearchBudget,
     SearchOutcome,
     _binary_from_graph,
+    _majority_law,
+    _minority_law,
     find_binary_nondictatorial,
     find_majority,
     find_minority,
@@ -142,51 +145,20 @@ def boolean_classification(
 def _classify_boolean(d: Domain, binary_found: bool) -> BooleanClassification:
     """Closure scan of a two-valued ``d``; the binary verdict comes from the
     graph route, which never runs out of budget."""
-    rows = d.feasible
     feasible_set = d.feasible_set
-    m = d.issue_count
-    affine = True
-    bijunctive = True
-    n_rows = len(rows)
-    for a in range(n_rows):
-        for b in range(a + 1, n_rows):
-            for c in range(b + 1, n_rows):
-                x, y, z = rows[a], rows[b], rows[c]
-                if affine:
-                    image = tuple(_odd_one_out(x[j], y[j], z[j]) for j in range(m))
-                    if image not in feasible_set:
-                        affine = False
-                if bijunctive:
-                    image = tuple(_majority_of(x[j], y[j], z[j]) for j in range(m))
-                    if image not in feasible_set:
-                        bijunctive = False
-                if not affine and not bijunctive:
-                    break
-            else:
-                continue
-            break
-        else:
-            continue
-        break
+
+    def closed(law) -> bool:
+        return all(
+            tuple(map(law, zip(x, y, z))) in feasible_set
+            for x, y, z in combinations(d.feasible, 3)
+        )
+
+    affine = closed(_minority_law)
     return BooleanClassification(
         affine=affine,
-        bijunctive=bijunctive,
+        bijunctive=closed(_majority_law),
         possibility=YES if affine or binary_found else NO,
     )
-
-
-def _odd_one_out(x, y, z):
-    if x == y:
-        return z
-    if y == z:
-        return x
-    return y
-
-
-def _majority_of(x, y, z):
-    if x == y or x == z:
-        return x
-    return y
 
 
 def is_upd(

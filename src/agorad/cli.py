@@ -41,10 +41,10 @@ def _read_domain(path: str, allow_large: bool) -> Domain:
 
 def _budget_from(args) -> SearchBudget:
     # an explicit 0 must reach SearchBudget and be refused, not read as unset
-    nodes = 10_000_000 if args.budget_nodes is None else args.budget_nodes
+    nodes = SearchBudget.max_nodes if args.budget_nodes is None else args.budget_nodes
     millis = args.budget_ms
     if millis is None:
-        millis = int(os.environ.get("AGORAD_BUDGET_MS", "30000"))
+        millis = int(os.environ.get("AGORAD_BUDGET_MS", SearchBudget.max_millis))
     return SearchBudget(max_nodes=nodes, max_millis=millis)
 
 

@@ -9,6 +9,7 @@ something independent to agree with.
 import sys
 from itertools import combinations, product
 
+from agorad.blockedness import Mipe, SubBox
 from agorad.domain import Domain, build_domain, validate
 
 TOKENS = ("a", "b", "c", "d", "e")
@@ -90,58 +91,74 @@ def naive_is_closed(d: Domain, agg) -> bool:
     return True
 
 
+def naive_mipes(d: Domain, cells, min_support: int):
+    """Yield the MIPEs of the sub-box ``cells`` with support of at least
+    ``min_support`` (>= 1) issues, by the definition: infeasible inside the
+    box, and every single coordinate can be replaced by another value of
+    its cell to give an assignment some row inside the box extends.
+
+    Supports come by size, then lexicographically, assignments in product
+    order of the cells.
+    """
+    m = d.issue_count
+    box = SubBox(cells=tuple(tuple(c) for c in cells))
+    in_box = [
+        row for row in d.feasible if all(row[jj] in cells[jj] for jj in range(m))
+    ]
+
+    def extends(support, assignment):
+        return any(
+            all(row[jj] == v for jj, v in zip(support, assignment)) for row in in_box
+        )
+
+    for size in range(min_support, m + 1):
+        for support in combinations(range(m), size):
+            for assignment in product(*(cells[jj] for jj in support)):
+                if extends(support, assignment):
+                    continue
+                minimal = True
+                for i, jj in enumerate(support):
+                    fixed = [
+                        (jj2, v)
+                        for k2, (jj2, v) in enumerate(zip(support, assignment))
+                        if k2 != i
+                    ]
+                    if not any(
+                        alt != assignment[i]
+                        and any(
+                            row[jj] == alt and all(row[jj2] == v for jj2, v in fixed)
+                            for row in in_box
+                        )
+                        for alt in cells[jj]
+                    ):
+                        minimal = False
+                        break
+                if minimal:
+                    yield Mipe(
+                        box=box,
+                        support=tuple(jj + 1 for jj in support),
+                        assignment=assignment,
+                    )
+
+
+def sub_boxes(d: Domain):
+    """Every sub-box of ``d``: each cell a non-empty subset of a projection."""
+    return product(
+        *(
+            [c for size in range(1, len(p) + 1) for c in combinations(p, size)]
+            for p in d.projections
+        )
+    )
+
+
 def naive_multiply_constrained(d: Domain) -> bool:
     """Definition-level scan over every sub-box for a length->=3 minimal
     infeasible partial evaluation."""
-    m = d.issue_count
-    if m < 3:
+    if d.issue_count < 3:
         return False
-    per_issue_subsets = []
-    for jj in range(m):
-        proj = d.projections[jj]
-        subsets = []
-        for size in range(1, len(proj) + 1):
-            subsets.extend(combinations(proj, size))
-        per_issue_subsets.append(subsets)
-    for cells in product(*per_issue_subsets):
-        in_box = [
-            row
-            for row in d.feasible
-            if all(row[jj] in cells[jj] for jj in range(m))
-        ]
-
-        def extends(support, assignment):
-            return any(
-                all(row[jj] == v for jj, v in zip(support, assignment))
-                for row in in_box
-            )
-
-        for size in range(3, m + 1):
-            for support in combinations(range(m), size):
-                for assignment in product(*(cells[jj] for jj in support)):
-                    if extends(support, assignment):
-                        continue
-                    minimal = True
-                    for i, jj in enumerate(support):
-                        fixed = [
-                            (jj2, v)
-                            for k2, (jj2, v) in enumerate(zip(support, assignment))
-                            if k2 != i
-                        ]
-                        if not any(
-                            alt != assignment[i]
-                            and any(
-                                row[jj] == alt
-                                and all(row[jj2] == v for jj2, v in fixed)
-                                for row in in_box
-                            )
-                            for alt in cells[jj]
-                        ):
-                            minimal = False
-                            break
-                    if minimal:
-                        return True
-    return False
+    return any(
+        next(naive_mipes(d, cells, 3), None) is not None for cells in sub_boxes(d)
+    )
 
 
 def boolean_table(tag: str):

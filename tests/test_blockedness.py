@@ -1,6 +1,7 @@
 import random
 import warnings
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -12,17 +13,25 @@ from agorad.blockedness import (
     build_graph,
     enumerate_mipes,
     feasible_in_box,
+    _projection_mipes,
+    _row_masks,
     graph_to_dot,
     is_multiply_constrained,
     is_totally_blocked,
 )
-from agorad.domain import build_domain, two_element_subsets
+from agorad.domain import build_domain, two_element_subsets, validate
 from agorad.errors import PartitionUnavailableError
 from agorad.fixtures import fixture_domain
 from agorad.oracles import all_binary_aggregators, bruteforce_binary
 from agorad.search import EXHAUSTED
 
-from helpers import naive_multiply_constrained, random_boolean_domain, random_domain
+from helpers import (
+    naive_mipes,
+    naive_multiply_constrained,
+    random_boolean_domain,
+    random_domain,
+    sub_boxes,
+)
 
 FULL_W_BOX = SubBox(cells=((0, 1), (0, 1), (0, 1)))
 
@@ -41,6 +50,11 @@ class TestFeasibleInBox:
         box = SubBox(cells=((0,), (0, 1), (0, 1)))
         with pytest.raises(ValueError):
             feasible_in_box(w, box, (1,), (1,))
+
+    def test_cell_repeating_a_value_rejected(self, w):
+        box = SubBox(cells=((0, 0), (0, 1), (0, 1)))
+        with pytest.raises(ValueError, match="repeats a value"):
+            feasible_in_box(w, box, (1,), (0,))
 
 
 class TestEnumerateMipes:
@@ -94,6 +108,11 @@ class TestEnumerateMipes:
     def test_rejects_non_two_box(self, w):
         with pytest.raises(ValueError):
             enumerate_mipes(w, SubBox(cells=((0,), (0, 1), (0, 1))))
+
+    def test_rejects_cell_repeating_a_value(self, w):
+        # two entries, but one value: not a 2-sub-box
+        with pytest.raises(ValueError, match="repeats a value"):
+            enumerate_mipes(w, SubBox(cells=((0, 0), (0, 1), (0, 1))))
 
 
 class TestBuildGraph:
@@ -223,7 +242,7 @@ class TestDot:
 
 
 def definition_graph(d):
-    """Vertices, edges, first witnesses and SCCs from ``enumerate_mipes``.
+    """Vertices, edges, first witnesses and SCCs from ``naive_mipes``.
 
     Boxes in product order of the per-issue pairs, edges wired as in
     ``build_graph``, SCCs as mutual reachability; also the number of boxes
@@ -233,13 +252,9 @@ def definition_graph(d):
     edge_witness = {}
     empty = 0
     for cells in product(*(two_element_subsets(d, j) for j in range(1, m + 1))):
-        box = SubBox(cells=tuple(cells))
         if not any(all(row[jj] in cells[jj] for jj in range(m)) for row in d.feasible):
             empty += 1
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", EmptyBoxWarning)
-            mipes = enumerate_mipes(d, box)
-        for mipe in mipes:
+        for mipe in naive_mipes(d, cells, 1):
             values = dict(zip(mipe.support, mipe.assignment))
             for k in mipe.support:
                 for l in mipe.support:
@@ -327,3 +342,67 @@ class TestGraphMatchesDefinition:
         )
         assert definition_graph(d)[4] > 0
         assert_graph_matches_definition(d)
+
+
+FIXTURES = ["w", "example2", "example3", "wxw", "y-horn", "z-affine", "yz-product"] + [
+    f"full-boolean-{m}" for m in range(1, 6)
+]
+
+
+class TestSharedEnumeratorMatchesDefinition:
+    """One enumerator serves the graph, ``enumerate_mipes`` and the
+    multiply-constrained scan; each is pinned to the definition-level
+    ``naive_mipes``."""
+
+    def test_enumerate_mipes_on_every_two_box(self):
+        rng = random.Random(4404)
+        domains = [fixture_domain(name) for name in FIXTURES] + [
+            random_domain(rng, max_issues=4, max_alphabet=3, max_rows=16)
+            for _ in range(12)
+        ]
+        for d in domains:
+            for cells in product(
+                *(two_element_subsets(d, j) for j in range(1, d.issue_count + 1))
+            ):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", EmptyBoxWarning)
+                    got = enumerate_mipes(d, SubBox(cells=cells))
+                assert got == list(naive_mipes(d, cells, 1)), cells
+
+    def test_every_sub_box_with_cells_of_one_to_four_values(self):
+        # fields of one and two bits, a cell of three values leaving one
+        # field pattern unused, and singleton cells
+        rng = random.Random(4405)
+        checked = 0
+        while checked < 4:
+            d = random_domain(rng, max_issues=4, max_alphabet=4, max_rows=16)
+            sizes = [len(p) for p in d.projections]
+            boxes = prod((1 << k) - 1 for k in sizes)
+            if d.issue_count < 3 or 4 not in sizes or boxes > 1000:
+                continue
+            for cells in sub_boxes(d):
+                box = SubBox(cells=cells)
+                masks = _row_masks(d, box)
+                got = list(_projection_mipes(box, masks, 1)) if masks else []
+                assert got == list(naive_mipes(d, cells, 1)), cells
+            checked += 1
+
+    def test_multiply_constrained_on_the_diagnostics_shape(self):
+        # 4 issues, 3 tokens, 16-24 rows: random draws are multiply
+        # constrained, products of two 2-issue factors are not
+        rng = random.Random(4406)
+        abc = ("a", "b", "c")
+        pairs = list(product(abc, abc))
+        domains = []
+        while len(domains) < 6:
+            if len(domains) < 3:
+                rows = rng.sample(list(product(abc, repeat=4)), rng.randint(16, 24))
+            else:
+                first, second = (rng.sample(pairs, rng.randint(4, 5)) for _ in range(2))
+                rows = [x + y for x in first for y in second]
+            d = build_domain([abc] * 4, rows)
+            if validate(d).ok and len(d.feasible) <= 24:
+                domains.append(d)
+        verdicts = [is_multiply_constrained(d) for d in domains]
+        assert verdicts == [naive_multiply_constrained(d) for d in domains]
+        assert verdicts == [True] * 3 + [False] * 3
