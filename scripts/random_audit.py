@@ -8,6 +8,10 @@ Four independent agreements are audited:
   uniform   the direct uniform search vs the folded per-pair route
   mipes     enumerate_mipes on every 2-sub-box and is_multiply_constrained
             vs the definition-level scans of tests/helpers.py
+  verify    verify_witness vs the definition-level judgement of
+            tests/helpers.py on every single-cell flip of the first witness
+            found of each kind (binary, majority, minority, uniform,
+            component)
 
 Exits non-zero on the first disagreement, printing the offending domain.
 """
@@ -47,6 +51,8 @@ from agorad.search import (
 )
 
 from helpers import (
+    flip_disagreements,
+    found_witnesses,
     naive_mipes,
     naive_multiply_constrained,
     random_boolean_domain,
@@ -80,6 +86,16 @@ def audit_mipes(d) -> bool:
     ) and is_multiply_constrained(d) == naive_multiply_constrained(d)
 
 
+def audit_verify(d) -> bool:
+    first = {}
+    for kind, witness, pin in found_witnesses(d):
+        first.setdefault(kind, (witness, pin))
+    return not any(
+        flip_disagreements(d, witness, kind, pin)
+        for kind, (witness, pin) in first.items()
+    )
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=100)
@@ -94,7 +110,7 @@ def main() -> int:
     )
     parser.add_argument(
         "--check",
-        choices=("blocked", "ternary", "uniform", "mipes", "all"),
+        choices=("blocked", "ternary", "uniform", "mipes", "verify", "all"),
         default="all",
     )
     args = parser.parse_args()
@@ -121,6 +137,8 @@ def main() -> int:
         checks.append(("uniform", audit_uniform, general))
     if args.check in ("mipes", "all"):
         checks.append(("mipes", audit_mipes, general))
+    if args.check in ("verify", "all"):
+        checks.append(("verify", audit_verify, general))
 
     start = time.monotonic()
     for i in range(args.count):

@@ -25,6 +25,26 @@ from .errors import ParseError, VerificationError
 FOUR_OPS = frozenset({"AND3", "OR3", "MAJ", "XOR3"})
 
 
+def _majority_law(args):
+    x, y, z = args
+    if x == y or x == z:
+        return x
+    if y == z:
+        return y
+    return None
+
+
+def _minority_law(args):
+    x, y, z = args
+    if x == y:
+        return z
+    if y == z:
+        return x
+    if x == z:
+        return y
+    return None
+
+
 def eval_named(op: str, labeling, x, y, z):
     """Evaluate one of the four named ternary operations.
 
@@ -33,11 +53,10 @@ def eval_named(op: str, labeling, x, y, z):
     defined whenever two of the three arguments agree.
     """
     if op == "maj":
-        if x == y or x == z:
-            return x
-        if y == z:
-            return y
-        raise ValueError("maj needs two equal arguments")
+        out = _majority_law((x, y, z))
+        if out is None:
+            raise ValueError("maj needs two equal arguments")
+        return out
     if labeling is None:
         raise ValueError(f"{op} needs a (zero, one) labeling")
     zero, one = labeling
@@ -48,11 +67,7 @@ def eval_named(op: str, labeling, x, y, z):
     if op == "or3":
         return one if one in (x, y, z) else zero
     if op == "xor3":
-        if x == y:
-            return z
-        if y == z:
-            return x
-        return y
+        return _minority_law((x, y, z))
     raise ValueError(f"unknown operation {op!r}")
 
 
@@ -298,6 +313,42 @@ def is_uniformly_nondictatorial(d: Domain, agg: AggregatorTuple) -> UniformityRe
             if cls.tag == "PROJECTION":
                 failures.append((j, pair, cls.dictator))
     return UniformityResult(not failures, tuple(failures))
+
+
+_PAIR_TAGS = {"majority": {"MAJ"}, "minority": {"XOR3"}, "uniform": FOUR_OPS}
+
+
+def verify_witness(d: Domain, agg: AggregatorTuple, kind: str, pin=None) -> None:
+    """Raise VerificationError unless ``agg`` is a valid ``kind`` witness.
+
+    Every witness must be closed. Then a binary witness must not be
+    dictatorial; a majority, minority or uniform witness must restrict to
+    MAJ, to XOR3, or into FOUR_OPS on every two-element subset of every
+    projection (a four-op restriction is commutative, never a projection);
+    a component witness, with ``pin`` = (j, pair, op), must restrict to op
+    on ``pair`` at issue j.
+    """
+    if not is_closed(d, agg).ok:
+        raise VerificationError(f"{kind} witness is not closed")
+    if kind == "binary":
+        if is_dictatorial(d, agg) is not None:
+            raise VerificationError("binary witness is dictatorial")
+        return
+    if kind == "component":
+        j, pair, op = pin
+        checks = [(j, pair, {op})]
+    else:
+        checks = [
+            (j, pair, _PAIR_TAGS[kind])
+            for j in range(1, d.issue_count + 1)
+            for pair in two_element_subsets(d, j)
+        ]
+    for j, pair, tags in checks:
+        tag = restriction_class(agg.component(j), pair).tag
+        if tag not in tags:
+            raise VerificationError(
+                f"{kind} witness restricts to {tag} at issue {j}, pair {pair}"
+            )
 
 
 def is_locally_monomorphic(d: Domain, agg: AggregatorTuple) -> bool:

@@ -41,14 +41,9 @@ from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import prod
 
-from .aggregators import (
-    AggregatorTuple,
-    OperationTable,
-    is_closed,
-    is_dictatorial,
-)
+from .aggregators import AggregatorTuple, OperationTable, verify_witness
 from .domain import Domain, require_valid, two_element_subsets
-from .errors import CapacityError, PartitionUnavailableError, VerificationError
+from .errors import CapacityError, PartitionUnavailableError
 
 # Vertex = (issue 1-based, first value code, second value code)
 Vertex = tuple[int, int, int]
@@ -447,11 +442,7 @@ def binary_from_partition(d: Domain, graph: BlockednessGraph) -> AggregatorTuple
             OperationTable(issue=j, arity=2, values=values, table=tuple(table))
         )
     result = AggregatorTuple(arity=2, components=tuple(comps))
-    check = is_closed(d, result)
-    if not check.ok:
-        raise VerificationError("partition aggregator escaped the feasible set")
-    if is_dictatorial(d, result) is not None:
-        raise VerificationError("partition aggregator came out dictatorial")
+    verify_witness(d, result, "binary")
     return result
 
 

@@ -13,8 +13,9 @@ from itertools import combinations
 
 from .aggregators import (
     AggregatorTuple,
+    _majority_law,
+    _minority_law,
     is_locally_monomorphic,
-    is_uniformly_nondictatorial,
     serialize_aggregator,
 )
 from .blockedness import BlockednessGraph, build_graph, is_multiply_constrained
@@ -27,8 +28,6 @@ from .search import (
     SearchBudget,
     SearchOutcome,
     _binary_from_graph,
-    _majority_law,
-    _minority_law,
     find_binary_nondictatorial,
     find_majority,
     find_minority,
@@ -180,14 +179,7 @@ def is_upd(
             raise VerificationError(
                 f"uniform search says {outcome.status}, fold says {folded.status}"
             )
-        if folded.status == FOUND:
-            check = is_uniformly_nondictatorial(d, folded.witness)
-            if not check.ok:
-                raise VerificationError("folded witness failed uniformity")
     if outcome.status == FOUND:
-        check = is_uniformly_nondictatorial(d, outcome.witness)
-        if not check.ok:
-            raise VerificationError("uniform witness failed uniformity")
         return UpdDecision(YES, outcome.witness)
     if outcome.status == EXHAUSTED:
         return UpdDecision(NO, None)

@@ -2,9 +2,10 @@
 
 Exit codes: 0 a decision was computed (whatever it says), 1 a budget ran
 out and the answer is unknown, 2 bad input, 3 desk-scale capacity guard.
-Reports, witnesses and DOT output are byte-deterministic; --jobs is
-accepted for interface stability but execution is sequential either way,
-which satisfies the determinism contract trivially.
+Reports, witnesses, DOT output and stderr (one ``warning: <message>``
+line per package warning) are byte-deterministic; --jobs is accepted for
+interface stability but execution is sequential either way, which
+satisfies the determinism contract trivially.
 """
 
 from __future__ import annotations
@@ -12,12 +13,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from . import classify, fixtures, mcsp
 from .aggregators import serialize_aggregator
-from .blockedness import build_graph, graph_to_dot
-from .domain import Domain, parse_domain
+from .blockedness import EmptyBoxWarning, build_graph, graph_to_dot
+from .domain import Domain, DuplicateTupleWarning, parse_domain
 from .errors import AgoradError, CapacityError, ParseError, SignatureError
 from .search import (
     EXHAUSTED,
@@ -130,9 +132,8 @@ def _cmd_fixtures(args) -> int:
     return 0
 
 
-def _add_common(sub, *, domain_arg: bool = True) -> None:
-    if domain_arg:
-        sub.add_argument("domain", help="domain file path, or - for stdin")
+def _add_common(sub) -> None:
+    sub.add_argument("domain", help="domain file path, or - for stdin")
     sub.add_argument("--allow-large", action="store_true", help="lift capacity guards")
     sub.add_argument("--budget-nodes", type=int, default=None)
     sub.add_argument("--budget-ms", type=int, default=None)
@@ -190,17 +191,28 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.handler(args)
-    except CapacityError as exc:
-        print(f"capacity: {exc}", file=sys.stderr)
-        return 3
-    except (ParseError, SignatureError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except AgoradError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        show = warnings.showwarning
+
+        def show_package_warning(message, category, *rest):
+            # one fixed line, free of the source path and line Python adds
+            if issubclass(category, (DuplicateTupleWarning, EmptyBoxWarning)):
+                print(f"warning: {message}", file=sys.stderr)
+            else:
+                show(message, category, *rest)
+
+        warnings.showwarning = show_package_warning
+        try:
+            return args.handler(args)
+        except CapacityError as exc:
+            print(f"capacity: {exc}", file=sys.stderr)
+            return 3
+        except (ParseError, SignatureError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except AgoradError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

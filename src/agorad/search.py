@@ -5,11 +5,12 @@ multi-sorted conservative CSP over X: cells taking values of their issue,
 and scopes of one cell per issue that must read a feasible row. In a
 table search the cells are the table cells and every selection of
 feasible rows is a scope, so a leaf is closed by construction (wrappers
-still re-verify with is_closed). A search plan preassigns the cells a
-witness kind forces (equal-argument cells, the majority or minority law,
-a pinned two-element restriction) and leaves the rest as decision
-variables with their supportive value choices. The brute-force oracles
-that cross-examine these searches live in ``agorad.oracles``.
+still re-verify it, once, with ``aggregators.verify_witness``). A search
+plan preassigns the cells a witness kind forces (equal-argument cells,
+the majority or minority law, a pinned two-element restriction) and
+leaves the rest as decision variables with their supportive value
+choices. The brute-force oracles that cross-examine these searches live
+in ``agorad.oracles``.
 """
 
 from __future__ import annotations
@@ -20,19 +21,18 @@ from functools import lru_cache
 from itertools import accumulate, product
 
 from .aggregators import (
-    FOUR_OPS,
     AggregatorTuple,
     OperationTable,
     _cyclic_composition,
+    _majority_law,
+    _minority_law,
     eval_named,
-    is_closed,
     is_dictatorial,
-    is_uniformly_nondictatorial,
-    restriction_class,
+    verify_witness,
 )
 from .blockedness import BlockednessGraph, binary_from_partition, build_graph
 from .domain import MAX_FEASIBLE, Domain, require_valid, two_element_subsets
-from .errors import CapacityError, VerificationError
+from .errors import CapacityError
 
 FOUND = "FOUND"
 EXHAUSTED = "EXHAUSTED"
@@ -320,14 +320,6 @@ def run_table_search(
     return SearchOutcome(status, snapshot(values) if status == FOUND else None, stats)
 
 
-def _dedup(args):
-    seen = []
-    for a in args:
-        if a not in seen:
-            seen.append(a)
-    return tuple(seen)
-
-
 def _plan_by_law(d: Domain, arity: int, law):
     """Plan where ``law(args)`` either forces a cell or leaves it free."""
     preassigned = []
@@ -338,28 +330,9 @@ def _plan_by_law(d: Domain, arity: int, law):
             if forced is not None:
                 preassigned.append((jj, idx, forced))
             else:
-                variables.append(_Var(cells=((jj, idx),), choices=_dedup(args)))
+                choices = tuple(dict.fromkeys(args))
+                variables.append(_Var(cells=((jj, idx),), choices=choices))
     return preassigned, variables
-
-
-def _majority_law(args):
-    x, y, z = args
-    if x == y or x == z:
-        return x
-    if y == z:
-        return y
-    return None
-
-
-def _minority_law(args):
-    x, y, z = args
-    if x == y:
-        return z
-    if y == z:
-        return x
-    if x == z:
-        return y
-    return None
 
 
 def _free_law(args):
@@ -438,44 +411,13 @@ def _plan_component(d: Domain, j: int, pair, op: str):
     return preassigned, variables
 
 
-def _verify_found(d: Domain, witness: AggregatorTuple, kind: str) -> None:
-    check = is_closed(d, witness)
-    if not check.ok:
-        raise VerificationError(f"{kind} witness is not closed")
-    if kind in ("majority", "minority"):
-        expected = "MAJ" if kind == "majority" else "XOR3"
-        for j in range(1, d.issue_count + 1):
-            for pair in two_element_subsets(d, j):
-                if restriction_class(witness.component(j), pair).tag != expected:
-                    raise VerificationError(
-                        f"{kind} witness misclassifies at issue {j}, pair {pair}"
-                    )
-    if kind == "uniform":
-        for j in range(1, d.issue_count + 1):
-            comp = witness.component(j)
-            for x in d.projection(j):
-                for y in d.projection(j):
-                    a = comp.apply((x, y, y))
-                    if a != comp.apply((y, x, y)) or a != comp.apply((y, y, x)):
-                        raise VerificationError(
-                            f"uniform witness breaks the identity at issue {j}"
-                        )
-            for pair in two_element_subsets(d, j):
-                if restriction_class(comp, pair).tag not in FOUR_OPS:
-                    raise VerificationError(
-                        f"uniform witness leaves the four-op set at issue {j}"
-                    )
-    if kind == "binary" and is_dictatorial(d, witness) is not None:
-        raise VerificationError("binary witness is dictatorial")
-
-
 def find_majority(d: Domain, budget: SearchBudget | None = None) -> SearchOutcome:
     """Ternary witness whose every component obeys the majority law."""
     require_valid(d)
     preassigned, variables = _plan_by_law(d, 3, _majority_law)
     outcome = run_table_search(d, 3, preassigned, variables, budget=budget)
     if outcome.status == FOUND:
-        _verify_found(d, outcome.witness, "majority")
+        verify_witness(d, outcome.witness, "majority")
     return outcome
 
 
@@ -485,22 +427,22 @@ def find_minority(d: Domain, budget: SearchBudget | None = None) -> SearchOutcom
     preassigned, variables = _plan_by_law(d, 3, _minority_law)
     outcome = run_table_search(d, 3, preassigned, variables, budget=budget)
     if outcome.status == FOUND:
-        _verify_found(d, outcome.witness, "minority")
+        verify_witness(d, outcome.witness, "minority")
     return outcome
 
 
 def find_uniform(d: Domain, budget: SearchBudget | None = None) -> SearchOutcome:
     """Ternary witness satisfying f(x,y,y) = f(y,x,y) = f(y,y,x) throughout.
 
-    A found witness is commutative on every two-element subset, hence
-    classifies into the four-op set everywhere and is uniformly
-    non-dictatorial; exhaustion refutes uniform possibility.
+    A found witness is commutative on every two-element subset, hence in
+    the four-op set everywhere, which ``verify_witness`` re-checks with
+    closure; exhaustion refutes uniform possibility.
     """
     require_valid(d)
     preassigned, variables = _plan_uniform(d)
     outcome = run_table_search(d, 3, preassigned, variables, budget=budget)
     if outcome.status == FOUND:
-        _verify_found(d, outcome.witness, "uniform")
+        verify_witness(d, outcome.witness, "uniform")
     return outcome
 
 
@@ -526,7 +468,7 @@ def find_binary_nondictatorial(
             accept=lambda cand: is_dictatorial(d, cand) is None,
         )
         if outcome.status == FOUND:
-            _verify_found(d, outcome.witness, "binary")
+            verify_witness(d, outcome.witness, "binary")
         return outcome
     return _binary_from_graph(d, build_graph(d))
 
@@ -572,18 +514,6 @@ def find_component_nonprojection(
     nodes = 0
     prunes = 0
 
-    def finish(op, outcome):
-        witness = outcome.witness
-        check = is_closed(d, witness)
-        if not check.ok:
-            raise VerificationError("component witness is not closed")
-        got = restriction_class(witness.component(j), pair).tag
-        if got != op:
-            raise VerificationError(
-                f"component witness pinned to {op} classifies as {got}"
-            )
-        return SearchOutcome(FOUND, witness, SearchStats(nodes, prunes))
-
     # (pin, probing); the loop appends each pin its probe left unresolved
     schedule = [(op, True) for op in _PIN_ORDER]
     for op, probing in schedule:
@@ -605,7 +535,8 @@ def find_component_nonprojection(
         nodes += outcome.stats.nodes
         prunes += outcome.stats.prunes
         if outcome.status == FOUND:
-            return finish(op, outcome)
+            verify_witness(d, outcome.witness, "component", (j, pair, op))
+            return SearchOutcome(FOUND, outcome.witness, SearchStats(nodes, prunes))
         if outcome.status == BUDGET_EXCEEDED:
             if not probing:
                 return SearchOutcome(BUDGET_EXCEEDED, None, SearchStats(nodes, prunes))
@@ -619,8 +550,8 @@ def fold_diamond_cover(d: Domain, budget: SearchBudget | None = None) -> SearchO
     Collects a component witness per two-element subset of every
     projection, then left-folds them with the cyclic composition, which
     preserves each witness's commutative restriction. Each witness was
-    verified by its search, so the fold checks closure once, on the
-    composite, which must also classify into the four-op set everywhere.
+    verified by its search, so the fold verifies only the composite, as a
+    uniform witness: closed, and in the four-op set on every pair.
     """
     require_valid(d)
     witnesses = []
@@ -639,13 +570,5 @@ def fold_diamond_cover(d: Domain, budget: SearchBudget | None = None) -> SearchO
     composite = witnesses[0]
     for nxt in witnesses[1:]:
         composite = _cyclic_composition(d, composite, nxt)
-    if not is_closed(d, composite).ok:
-        raise VerificationError("folded witness escaped the feasible set")
-    uniformity = is_uniformly_nondictatorial(d, composite)
-    if not uniformity.ok:
-        raise VerificationError("folded witness has a projection restriction")
-    for j in range(1, d.issue_count + 1):
-        for pair in two_element_subsets(d, j):
-            if restriction_class(composite.component(j), pair).tag not in FOUR_OPS:
-                raise VerificationError("folded witness leaves the four-op set")
+    verify_witness(d, composite, "uniform")
     return SearchOutcome(FOUND, composite, SearchStats(nodes, prunes))

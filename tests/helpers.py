@@ -1,5 +1,6 @@
 """Shared test utilities: naive oracles, random domain samplers, a call
-counter, a fake clock.
+counter, a fake clock, and a definition-level witness judgement with the
+single-cell flips it is compared on.
 
 The naive functions here deliberately re-derive results from definitions
 with the dumbest possible loops so the package's optimized routines have
@@ -9,8 +10,20 @@ something independent to agree with.
 import sys
 from itertools import combinations, product
 
+from agorad.aggregators import AggregatorTuple, OperationTable, verify_witness
 from agorad.blockedness import Mipe, SubBox
 from agorad.domain import Domain, build_domain, validate
+from agorad.errors import VerificationError
+from agorad.search import (
+    FOUND,
+    SearchBudget,
+    find_binary_nondictatorial,
+    find_component_nonprojection,
+    find_majority,
+    find_minority,
+    find_uniform,
+    fold_diamond_cover,
+)
 
 TOKENS = ("a", "b", "c", "d", "e")
 
@@ -177,3 +190,122 @@ def boolean_table(tag: str):
         return x | y | z
 
     return {"MAJ": maj, "XOR3": xor3, "AND3": and3, "OR3": or3}[tag]
+
+
+def naive_witness_ok(d: Domain, agg, kind: str, pin=None) -> bool:
+    """Definition-level judgement of a ``kind`` witness, as
+    ``verify_witness`` takes its arguments: closure by a plain loop over row
+    selections, then the kind's law cell by cell on two-element subsets.
+
+    A binary witness is no projection; a majority or minority witness
+    computes the Boolean MAJ or XOR3 on every pair (smaller value as 0); a
+    uniform witness obeys f(x,y,y) = f(y,x,y) = f(y,y,x) on every pair; a
+    component witness, ``pin`` = (j, pair, op), computes op on that pair.
+    """
+    if not naive_is_closed(d, agg):
+        return False
+    m = d.issue_count
+    if kind == "binary":
+        return not any(
+            all(
+                agg.component(j).apply(args) == args[i]
+                for j in range(1, m + 1)
+                for args in product(d.projection(j), repeat=2)
+            )
+            for i in range(2)
+        )
+    if kind == "component":
+        j, pair, op = pin
+        cases = [(j, tuple(sorted(pair)), op)]
+    else:
+        op = {"majority": "MAJ", "minority": "XOR3", "uniform": None}[kind]
+        cases = [
+            (j, pair, op)
+            for j in range(1, m + 1)
+            for pair in combinations(d.projection(j), 2)
+        ]
+    for j, (zero, one), op in cases:
+        f = agg.component(j)
+        if op is None:
+            for x, y in ((zero, one), (one, zero)):
+                a = f.apply((x, y, y))
+                if a != f.apply((y, x, y)) or a != f.apply((y, y, x)):
+                    return False
+            continue
+        law = boolean_table(op)
+        for args in product((zero, one), repeat=3):
+            bit = law(*(int(a == one) for a in args))
+            if f.apply(args) != (one if bit else zero):
+                return False
+    return True
+
+
+def single_cell_flips(agg):
+    """Every tuple that differs from ``agg`` in exactly one table cell, the
+    cell taking another of its arguments (so the tables stay supportive)."""
+    for jj, comp in enumerate(agg.components):
+        for idx, out in enumerate(comp.table):
+            for alt in dict.fromkeys(comp.cell_args(idx)):
+                if alt == out:
+                    continue
+                table = comp.table[:idx] + (alt,) + comp.table[idx + 1 :]
+                comps = list(agg.components)
+                comps[jj] = OperationTable(comp.issue, comp.arity, comp.values, table)
+                yield AggregatorTuple(agg.arity, tuple(comps))
+
+
+def verify_raises(d: Domain, agg, kind: str, pin=None) -> bool:
+    try:
+        verify_witness(d, agg, kind, pin)
+    except VerificationError:
+        return True
+    return False
+
+
+def flip_disagreements(d: Domain, agg, kind: str, pin=None) -> list:
+    """The single-cell flips of a witness on which ``verify_witness`` and
+    ``naive_witness_ok`` disagree, and the witness itself if either rejects
+    it; empty when both accept the witness and judge every flip alike."""
+    bad = [agg] if verify_raises(d, agg, kind, pin) else []
+    if not naive_witness_ok(d, agg, kind, pin):
+        bad.append(agg)
+    return bad + [
+        flipped
+        for flipped in single_cell_flips(agg)
+        if verify_raises(d, flipped, kind, pin)
+        == naive_witness_ok(d, flipped, kind, pin)
+    ]
+
+
+PIN_OPS = ("MAJ", "XOR3", "AND3", "OR3")
+
+
+def found_witnesses(d: Domain):
+    """(kind, witness, pin) for each witness the searches find on ``d`` in
+    20 000 nodes: both binary routes, majority, minority, uniform, the fold,
+    and the component search on every (issue, pair); the pin's op is read
+    off the witness with ``naive_witness_ok``."""
+    budget = SearchBudget(max_nodes=20_000)
+    found = []
+    for kind, outcome in (
+        ("binary", find_binary_nondictatorial(d, budget)),
+        ("binary", find_binary_nondictatorial(d, budget, direct=True)),
+        ("majority", find_majority(d, budget)),
+        ("minority", find_minority(d, budget)),
+        ("uniform", find_uniform(d, budget)),
+        ("uniform", fold_diamond_cover(d, budget)),
+    ):
+        if outcome.status == FOUND:
+            found.append((kind, outcome.witness, None))
+    for j in range(1, d.issue_count + 1):
+        for pair in combinations(d.projection(j), 2):
+            outcome = find_component_nonprojection(d, j, pair, budget)
+            if outcome.status == FOUND:
+                w = outcome.witness
+                op = next(
+                    op
+                    for op in PIN_OPS
+                    if naive_witness_ok(d, w, "component", (j, pair, op))
+                )
+                found.append(("component", w, (j, pair, op)))
+    return found
