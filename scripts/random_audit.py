@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Cross-validate the decision procedures on random domains.
 
-Four independent agreements are audited:
+Six independent agreements are audited:
   blocked   strong connectivity of the pair graph vs the binary oracle
   ternary   the three-way witness disjunction vs the ternary oracle
             (boolean domains only)
@@ -12,6 +12,9 @@ Four independent agreements are audited:
             tests/helpers.py on every single-cell flip of the first witness
             found of each kind (binary, majority, minority, uniform,
             component)
+  graph     build_graph vs the definition-level graph of tests/helpers.py:
+            vertices, edges, first witnesses, SCCs and the number of
+            2-sub-boxes with no feasible row
 
 Exits non-zero on the first disagreement, printing the offending domain.
 """
@@ -34,6 +37,7 @@ warnings.simplefilter("ignore", EmptyBoxWarning)
 
 from agorad.blockedness import (
     SubBox,
+    build_graph,
     enumerate_mipes,
     is_multiply_constrained,
     is_totally_blocked,
@@ -51,6 +55,7 @@ from agorad.search import (
 )
 
 from helpers import (
+    definition_graph,
     flip_disagreements,
     found_witnesses,
     naive_mipes,
@@ -96,6 +101,17 @@ def audit_verify(d) -> bool:
     )
 
 
+def audit_graph(d) -> bool:
+    vertices, edges, witnesses, sccs, empty = definition_graph(d)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", EmptyBoxWarning)
+        graph = build_graph(d)
+    warned = [str(w.message) for w in caught if w.category is EmptyBoxWarning]
+    expected = [f"{empty} 2-sub-box(es) contain no feasible row"] if empty else []
+    got = (graph.vertices, graph.edges, graph.witnesses, graph.sccs, warned)
+    return got == (vertices, edges, witnesses, sccs, expected)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=100)
@@ -110,7 +126,7 @@ def main() -> int:
     )
     parser.add_argument(
         "--check",
-        choices=("blocked", "ternary", "uniform", "mipes", "verify", "all"),
+        choices=("blocked", "ternary", "uniform", "mipes", "verify", "graph", "all"),
         default="all",
     )
     args = parser.parse_args()
@@ -139,6 +155,8 @@ def main() -> int:
         checks.append(("mipes", audit_mipes, general))
     if args.check in ("verify", "all"):
         checks.append(("verify", audit_verify, general))
+    if args.check in ("graph", "all"):
+        checks.append(("graph", audit_graph, general))
 
     start = time.monotonic()
     for i in range(args.count):

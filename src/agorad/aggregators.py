@@ -494,16 +494,19 @@ def parse_aggregator(text: str, d: Domain) -> AggregatorTuple:
             continue
         fields = line.split()
         if fields[0] == "aggregator":
-            if len(fields) != 3 or fields[1] != "arity" or not fields[2].isdigit():
+            if arity is not None:
+                raise ParseError("duplicate 'aggregator' header", line_no)
+            if len(fields) != 3 or fields[1] != "arity" or not fields[2].isdecimal():
                 raise ParseError("expected 'aggregator arity <n>'", line_no)
             arity = int(fields[2])
+            if not 2 <= arity <= 4:
+                raise ParseError(f"arity {arity} outside 2..4", line_no)
         elif fields[0] == "component":
             if arity is None:
                 raise ParseError("'component' before the arity header", line_no)
-            head = fields[1].rstrip(":")
-            if not head.isdigit():
+            if len(fields) < 2 or not fields[1].rstrip(":").isdecimal():
                 raise ParseError("expected 'component <j>:'", line_no)
-            current = int(head)
+            current = int(fields[1].rstrip(":"))
             if not 1 <= current <= d.issue_count:
                 raise ParseError(f"component index {current} out of range", line_no)
             if current in cells:

@@ -1,4 +1,4 @@
-"""Total blockedness: the entailment graph over value pairs and its SCCs.
+"""Total blockedness: the pair graph and its classes of mutual reachability.
 
 A sub-box restricts each issue to a subset of its projection values; a
 2-sub-box picks exactly two values per issue. A minimal infeasible partial
@@ -10,10 +10,12 @@ The graph has one vertex per ordered pair of distinct projection values
 per issue. A MIPE on a 2-sub-box wires a directed edge between every two
 of its support issues: fixing the source pair's first value forces the
 target pair's first value, which is exactly the propagation the edge
-records. The domain is totally blocked when this graph is strongly
-connected; otherwise any source component of the condensation yields a
-binary non-dictatorial aggregator by projecting one side of the partition
-onto first arguments and the other onto second arguments.
+records. The domain is totally blocked when the graph is strongly
+connected, every vertex reaching every other. Otherwise some class of
+mutually reachable vertices is entered by no edge from outside; projecting
+it onto second arguments and the rest onto first arguments yields a binary
+non-dictatorial aggregator. The classes (``BlockednessGraph.sccs``) follow
+the sorted vertex order: each class sorted, the classes by least vertex.
 
 MIPEs are found on bitmasks, by one enumerator for every box. Inside a
 box a feasible row is a mask with one field per issue, issue 1 in the
@@ -85,17 +87,6 @@ class BlockednessGraph:
     @cached_property
     def edge_witness(self) -> dict[tuple[Vertex, Vertex], Mipe]:
         return dict(zip(self.edges, self.witnesses))
-
-    @cached_property
-    def scc_of(self) -> dict[Vertex, int]:
-        return {v: i for i, comp in enumerate(self.sccs) for v in comp}
-
-    @cached_property
-    def condensation_edges(self) -> frozenset[tuple[int, int]]:
-        scc_of = self.scc_of
-        return frozenset(
-            (scc_of[a], scc_of[b]) for a, b in self.edges if scc_of[a] != scc_of[b]
-        )
 
     @property
     def is_strongly_connected(self) -> bool:
@@ -173,54 +164,27 @@ def _graph_vertices(d: Domain) -> tuple[Vertex, ...]:
     return tuple(out)
 
 
-def _strongly_connected_components(vertices, adjacency):
-    """Iterative single-pass lowlink SCC computation, deterministic order."""
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    comps: list = []
-    counter = 0
-    for root in vertices:
-        if root in index:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, i = work.pop()
-            if i == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            succs = adjacency.get(v, ())
-            descended = False
-            while i < len(succs):
-                w = succs[i]
-                i += 1
-                if w not in index:
-                    work.append((v, i))
-                    work.append((w, 0))
-                    descended = True
-                    break
-                if w in on_stack and index[w] < low[v]:
-                    low[v] = index[w]
-            if descended:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(tuple(sorted(comp)))
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-    comps.sort(key=lambda c: c[0])
-    return tuple(comps)
+def _strongly_connected_components(vertices, edges):
+    """Classes of mutual reachability, by a bitset transitive closure.
+
+    Bit i of ``reach[k]`` is set when vertex i is reachable from vertex k.
+    ``vertices`` is sorted, so each class comes out sorted and the classes
+    ordered by least vertex.
+    """
+    index = {v: i for i, v in enumerate(vertices)}
+    n = len(vertices)
+    reach = [1 << i for i in range(n)]
+    for src, dst in edges:
+        reach[index[src]] |= 1 << index[dst]
+    for k in range(n):
+        for i in range(n):
+            if reach[i] >> k & 1:
+                reach[i] |= reach[k]
+    classes = (
+        tuple(vertices[j] for j in range(n) if reach[i] >> j & 1 and reach[j] >> i & 1)
+        for i in range(n)
+    )
+    return tuple(dict.fromkeys(classes))
 
 
 def _guard_work(d: Domain, boxes_per_issue, what: str) -> None:
@@ -394,12 +358,7 @@ def build_graph(d: Domain) -> BlockednessGraph:
     vertices = _graph_vertices(d)
     edges = tuple(sorted(edge_witness))
     witnesses = tuple(edge_witness[e] for e in edges)
-    adjacency: dict[Vertex, list[Vertex]] = {}
-    for src, dst in edges:
-        adjacency.setdefault(src, []).append(dst)
-    sccs = _strongly_connected_components(
-        vertices, {v: tuple(succs) for v, succs in adjacency.items()}
-    )
+    sccs = _strongly_connected_components(vertices, edges)
     return BlockednessGraph(
         vertices=vertices, edges=edges, witnesses=witnesses, sccs=sccs
     )
@@ -414,20 +373,19 @@ def is_totally_blocked(d: Domain) -> tuple[bool, BlockednessGraph]:
 def binary_from_partition(d: Domain, graph: BlockednessGraph) -> AggregatorTuple:
     """Binary non-dictatorial aggregator from an edge-free vertex partition.
 
-    Picks as the second part a source component of the condensation (no
-    incoming edges from outside, hence no edge from the rest into it); the
-    source containing the least vertex is used for determinism. Pairs in
-    the first part project onto their first value, pairs in the second
-    onto their second, equal arguments pass through.
+    The second part is a class of mutually reachable vertices that no edge
+    enters from outside, so no edge runs from the rest into it; of those
+    classes the first in ``graph.sccs``, the one holding the least vertex,
+    is taken. Pairs in the first part project onto their first value,
+    pairs in the second onto their second, equal arguments pass through.
     """
     if graph.is_strongly_connected:
         raise PartitionUnavailableError(
             "graph is strongly connected, no partition exists"
         )
-    targets = {b for _, b in graph.condensation_edges}
-    sources = [i for i in range(len(graph.sccs)) if i not in targets]
-    chosen = min(sources, key=lambda i: graph.sccs[i][0])
-    second_part = set(graph.sccs[chosen])
+    class_of = {v: c for c, members in enumerate(graph.sccs) for v in members}
+    entered = {class_of[b] for a, b in graph.edges if class_of[a] != class_of[b]}
+    second_part = set(next(m for c, m in enumerate(graph.sccs) if c not in entered))
     comps = []
     for j in range(1, d.issue_count + 1):
         values = d.projection(j)

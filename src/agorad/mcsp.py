@@ -152,6 +152,7 @@ def parse_instance(
     sorts: dict[str, int] = {}
     constraints: list[XConstraint | SubsetConstraint] = []
     file_domain: Domain | None = None
+    domain_path: Path | None = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -159,12 +160,14 @@ def parse_instance(
             continue
         fields = line.split()
         if fields[0] == "domain":
+            if domain_path is not None:
+                raise ParseError("duplicate 'domain' line", line_no)
             if len(fields) != 2:
                 raise ParseError("expected 'domain <path>'", line_no)
-            if domain is None and file_domain is None:
-                path = Path(base_dir) / fields[1]
+            domain_path = Path(base_dir) / fields[1]
+            if domain is None:
                 try:
-                    file_domain = parse_domain(path.read_text())
+                    file_domain = parse_domain(domain_path.read_text())
                 except OSError as exc:
                     raise ParseError(f"cannot read domain file: {exc}", line_no)
         elif fields[0] == "var":

@@ -8,12 +8,14 @@ Tests and scripts import this module; the package itself never does.
 
 from __future__ import annotations
 
+import time
 from itertools import product
 
 from .aggregators import AggregatorTuple, OperationTable
 from .domain import Domain, require_valid
 from .errors import CapacityError
-from .search import EXHAUSTED, FOUND, SearchBudget, SearchOutcome, SearchStats
+from .search import BUDGET_EXCEEDED, EXHAUSTED, FOUND, SearchBudget, SearchOutcome
+from .search import _TIME_CHECK_MASK, SearchStats
 
 
 def _supportive_tables(values, arity: int):
@@ -39,8 +41,10 @@ def _oracle_scan(d: Domain, arity: int, budget: SearchBudget, collect_all: bool)
     every row selection, with nothing carried over between candidates.
 
     Rows are packed into mixed-radix integers so the closure test is a few
-    multiply-adds and a set lookup per selection.
+    multiply-adds and a set lookup per selection. The deadline starts here
+    and is read every 2048 candidates, the engine's cadence for nodes.
     """
+    deadline = time.monotonic() + budget.max_millis / 1000.0
     require_valid(d)
     count = _oracle_candidate_count(d, arity)
     if count > budget.max_nodes:
@@ -109,6 +113,8 @@ def _oracle_scan(d: Domain, arity: int, budget: SearchBudget, collect_all: bool)
     sel_range = range(len(selections))
     jj_range = range(m)
     for combo in product(*per_issue_tables):
+        if nodes & _TIME_CHECK_MASK == _TIME_CHECK_MASK and time.monotonic() > deadline:
+            return SearchOutcome(BUDGET_EXCEEDED, None, SearchStats(nodes, 0)), found
         nodes += 1
         closed = True
         for si in sel_range:
@@ -144,6 +150,9 @@ def bruteforce_ternary_nontrivial(
 def all_binary_aggregators(
     d: Domain, budget: SearchBudget | None = None
 ) -> tuple[AggregatorTuple, ...]:
-    """Every closed binary tuple, dictatorial ones included."""
-    _, found = _oracle_scan(d, 2, budget or SearchBudget(), collect_all=True)
+    """Every closed binary tuple, dictatorial ones included, or CapacityError
+    when the time budget runs out first."""
+    outcome, found = _oracle_scan(d, 2, budget or SearchBudget(), collect_all=True)
+    if outcome.status == BUDGET_EXCEEDED:
+        raise CapacityError("oracle ran out of time before listing every tuple")
     return tuple(found)

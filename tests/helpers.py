@@ -1,5 +1,6 @@
 """Shared test utilities: naive oracles, random domain samplers, a call
-counter, a fake clock, and a definition-level witness judgement with the
+counter, a fake clock, the definition-level blockedness graph and its
+partition table, and a definition-level witness judgement with the
 single-cell flips it is compared on.
 
 The naive functions here deliberately re-derive results from definitions
@@ -12,7 +13,7 @@ from itertools import combinations, product
 
 from agorad.aggregators import AggregatorTuple, OperationTable, verify_witness
 from agorad.blockedness import Mipe, SubBox
-from agorad.domain import Domain, build_domain, validate
+from agorad.domain import Domain, build_domain, two_element_subsets, validate
 from agorad.errors import VerificationError
 from agorad.search import (
     FOUND,
@@ -75,7 +76,8 @@ def count_calls(monkeypatch, original) -> list:
 
 
 class FakeClock:
-    """Stands in for the ``time`` module of ``agorad.search``.
+    """Stands in for the ``time`` module of ``agorad.search`` or
+    ``agorad.oracles``.
 
     ``monotonic()`` returns the given readings one by one, then repeats the
     last; ``now`` may also be set, or advanced, by the test itself.
@@ -171,6 +173,85 @@ def naive_multiply_constrained(d: Domain) -> bool:
         return False
     return any(
         next(naive_mipes(d, cells, 3), None) is not None for cells in sub_boxes(d)
+    )
+
+
+def definition_graph(d: Domain):
+    """Vertices, edges, first witnesses and SCCs from ``naive_mipes``.
+
+    Boxes in product order of the per-issue pairs, edges wired as in
+    ``build_graph``, SCCs as mutual reachability; also the number of boxes
+    that contain no feasible row.
+    """
+    m = d.issue_count
+    edge_witness = {}
+    empty = 0
+    for cells in product(*(two_element_subsets(d, j) for j in range(1, m + 1))):
+        if not any(all(row[jj] in cells[jj] for jj in range(m)) for row in d.feasible):
+            empty += 1
+        for mipe in naive_mipes(d, cells, 1):
+            values = dict(zip(mipe.support, mipe.assignment))
+            for k in mipe.support:
+                for l in mipe.support:
+                    if k != l:
+                        (u2,) = set(cells[k - 1]) - {values[k]}
+                        (v,) = set(cells[l - 1]) - {values[l]}
+                        src, dst = (k, values[k], u2), (l, v, values[l])
+                        edge_witness.setdefault((src, dst), mipe)
+    vertices = tuple(
+        (j, u, v)
+        for j in range(1, m + 1)
+        for u in d.projection(j)
+        for v in d.projection(j)
+        if u != v
+    )
+    reach = {v: {v} for v in vertices}
+    for src, dst in edge_witness:
+        reach[src].add(dst)
+    changed = True
+    while changed:
+        changed = False
+        for v in vertices:
+            grown = set().union(*(reach[w] for w in reach[v]))
+            if grown != reach[v]:
+                reach[v] = grown
+                changed = True
+    sccs = sorted({tuple(sorted(w for w in reach[v] if v in reach[w])) for v in vertices})
+    edges = tuple(sorted(edge_witness))
+    witnesses = tuple(edge_witness[e] for e in edges)
+    return vertices, edges, witnesses, tuple(sccs), empty
+
+
+def source_classes(d: Domain) -> list:
+    """The classes of ``definition_graph`` that no edge enters from outside,
+    as sets, least vertex first."""
+    _, edges, _, sccs, _ = definition_graph(d)
+    sources = [
+        set(c) for c in sccs if not any(dst in c and src not in c for src, dst in edges)
+    ]
+    return sorted(sources, key=min)
+
+
+def naive_partition_binary(d: Domain) -> AggregatorTuple:
+    """The binary table projected from the source class with the least
+    vertex: its pairs onto their second value, every other pair onto its
+    first, equal arguments passing through. Only for graphs that are not
+    strongly connected."""
+    second = source_classes(d)[0]
+    return AggregatorTuple(
+        arity=2,
+        components=tuple(
+            OperationTable(
+                issue=j,
+                arity=2,
+                values=d.projection(j),
+                table=tuple(
+                    v if (j, u, v) in second else u
+                    for u, v in product(d.projection(j), repeat=2)
+                ),
+            )
+            for j in range(1, d.issue_count + 1)
+        ),
     )
 
 

@@ -23,6 +23,7 @@ from agorad.aggregators import (
     superpose,
 )
 from agorad.domain import build_domain
+from agorad.errors import ParseError
 from agorad.fixtures import fixture_domain
 
 from helpers import naive_is_closed
@@ -368,6 +369,31 @@ class TestSerialization:
         assert lines[0] == "aggregator arity 2"
         assert lines[1] == "component 1:"
         assert lines[2] == "0 0 -> 0"
+
+
+# complete tables of two cells on w, which an arity-1 header would match
+W_TWO_CELL_TABLES = "".join(f"component {j}:\n0 -> 0\n1 -> 1\n" for j in (1, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("aggregator arity 2\ncomponent\n", "line 2: expected 'component <j>:'"),
+        ("aggregator arity 2\ncomponent ²:\n", "line 2: expected 'component <j>:'"),
+        ("aggregator arity ²\n", "line 1: expected 'aggregator arity <n>'"),
+        ("aggregator arity 1\n" + W_TWO_CELL_TABLES, "line 1: arity 1 outside 2..4"),
+        ("aggregator arity 0\n", "line 1: arity 0 outside 2..4"),
+        ("aggregator arity 5\ncomponent 1:\n", "line 1: arity 5 outside 2..4"),
+        (
+            "aggregator arity 2\naggregator arity 3\n",
+            "line 2: duplicate 'aggregator' header",
+        ),
+    ],
+)
+def test_parse_aggregator_rejects_with_line_number(w, text, message):
+    with pytest.raises(ParseError) as caught:
+        parse_aggregator(text, w)
+    assert str(caught.value) == message
 
 
 @settings(max_examples=100, deadline=None)

@@ -5,7 +5,7 @@ from math import prod
 
 import pytest
 
-from agorad.aggregators import is_closed, is_dictatorial
+from agorad.aggregators import is_closed, is_dictatorial, serialize_aggregator
 from agorad.blockedness import (
     EmptyBoxWarning,
     SubBox,
@@ -26,10 +26,13 @@ from agorad.oracles import all_binary_aggregators, bruteforce_binary
 from agorad.search import EXHAUSTED
 
 from helpers import (
+    definition_graph,
     naive_mipes,
     naive_multiply_constrained,
+    naive_partition_binary,
     random_boolean_domain,
     random_domain,
+    source_classes,
     sub_boxes,
 )
 
@@ -179,6 +182,38 @@ class TestBinaryFromPartition:
             binary_from_partition(w, graph)
 
 
+def assert_partition_matches_definition(d):
+    graph = build_graph(d)
+    assert not graph.is_strongly_connected
+    assert serialize_aggregator(d, binary_from_partition(d, graph)) == (
+        serialize_aggregator(d, naive_partition_binary(d))
+    )
+
+
+class TestPartitionSourceClass:
+    """Of the classes no edge enters, ``binary_from_partition`` projects the
+    one with the least vertex onto second arguments."""
+
+    @pytest.mark.parametrize(
+        "name, sources",
+        [("example2", 2), ("example3", 4), ("wxw", 2), ("y-horn", 3), ("yz-product", 4)]
+        + [(f"full-boolean-{m}", 2 * m) for m in range(1, 6)],
+    )
+    def test_unblocked_fixtures(self, name, sources):
+        d = fixture_domain(name)
+        assert len(source_classes(d)) == sources
+        assert_partition_matches_definition(d)
+
+    def test_random_domains(self):
+        rng = random.Random(4407)
+        checked = 0
+        while checked < 30:
+            d = random_domain(rng, max_issues=4, max_alphabet=3, max_rows=16)
+            if not build_graph(d).is_strongly_connected:
+                assert_partition_matches_definition(d)
+                checked += 1
+
+
 class TestMultiplyConstrained:
     def test_w_multiply_constrained(self, w):
         assert is_multiply_constrained(w)
@@ -239,52 +274,6 @@ class TestDot:
         assert dot.startswith("digraph blockedness {")
         assert '"1:01" -> "2:10" [witness="K=1,2,3;x=0,0,0"];' in dot
         assert '"1:10" -> "2:01" [witness="K=1,2;x=1,1"];' in dot
-
-
-def definition_graph(d):
-    """Vertices, edges, first witnesses and SCCs from ``naive_mipes``.
-
-    Boxes in product order of the per-issue pairs, edges wired as in
-    ``build_graph``, SCCs as mutual reachability; also the number of boxes
-    that contain no feasible row.
-    """
-    m = d.issue_count
-    edge_witness = {}
-    empty = 0
-    for cells in product(*(two_element_subsets(d, j) for j in range(1, m + 1))):
-        if not any(all(row[jj] in cells[jj] for jj in range(m)) for row in d.feasible):
-            empty += 1
-        for mipe in naive_mipes(d, cells, 1):
-            values = dict(zip(mipe.support, mipe.assignment))
-            for k in mipe.support:
-                for l in mipe.support:
-                    if k != l:
-                        (u2,) = set(cells[k - 1]) - {values[k]}
-                        (v,) = set(cells[l - 1]) - {values[l]}
-                        src, dst = (k, values[k], u2), (l, v, values[l])
-                        edge_witness.setdefault((src, dst), mipe)
-    vertices = tuple(
-        (j, u, v)
-        for j in range(1, m + 1)
-        for u in d.projection(j)
-        for v in d.projection(j)
-        if u != v
-    )
-    reach = {v: {v} for v in vertices}
-    for src, dst in edge_witness:
-        reach[src].add(dst)
-    changed = True
-    while changed:
-        changed = False
-        for v in vertices:
-            grown = set().union(*(reach[w] for w in reach[v]))
-            if grown != reach[v]:
-                reach[v] = grown
-                changed = True
-    sccs = sorted({tuple(sorted(w for w in reach[v] if v in reach[w])) for v in vertices})
-    edges = tuple(sorted(edge_witness))
-    witnesses = tuple(edge_witness[e] for e in edges)
-    return vertices, edges, witnesses, tuple(sccs), empty
 
 
 def assert_graph_matches_definition(d):

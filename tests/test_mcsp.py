@@ -165,6 +165,17 @@ class TestParseInstance:
         inst = parse_instance(text, base_dir=tmp_path)
         assert inst.domain == w
 
+    def test_second_domain_line_rejected(self, w, example2, tmp_path):
+        from agorad.domain import serialize_domain
+
+        (tmp_path / "w.dom").write_text(serialize_domain(w))
+        (tmp_path / "e2.dom").write_text(serialize_domain(example2))
+        text = "domain w.dom\ndomain e2.dom\nvar a sort 1\n"
+        with pytest.raises(ParseError, match="line 2: duplicate 'domain' line"):
+            parse_instance(text, base_dir=tmp_path)
+        with pytest.raises(ParseError, match="line 2: duplicate 'domain' line"):
+            parse_instance(text, domain=w, base_dir=tmp_path)
+
     def test_missing_domain_rejected(self):
         with pytest.raises(ParseError):
             parse_instance("var a sort 1\n")

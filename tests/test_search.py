@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from agorad import aggregators, search
+from agorad import aggregators, oracles, search
 from agorad.aggregators import (
     FOUR_OPS,
     diamond,
@@ -241,6 +241,20 @@ class TestBruteForceOracles:
     def test_found_witnesses_replayed_by_oracle(self, example2, example3):
         for d in (example2, example3):
             assert bruteforce_binary(d).status == FOUND
+
+    def test_oracle_reads_the_clock_every_2048_candidates(self, monkeypatch, w):
+        # none of w's 262 144 ternary candidates is closed and non-trivial;
+        # the deadline passes at the clock's second reading in the scan
+        monkeypatch.setattr(oracles, "time", FakeClock(0.0, 0.5, 10.0))
+        outcome = bruteforce_ternary_nontrivial(w, SearchBudget(max_millis=1000))
+        assert outcome.status == BUDGET_EXCEEDED
+        assert outcome.stats.nodes == 4095
+
+    def test_listing_out_of_time_raises(self, monkeypatch, wxw):
+        # 4 096 binary candidates: the scan stops at the first reading
+        monkeypatch.setattr(oracles, "time", FakeClock(0.0, 10.0))
+        with pytest.raises(CapacityError, match="out of time"):
+            all_binary_aggregators(wxw, SearchBudget(max_millis=1000))
 
 
 def is_dictatorial_on_block(agg, j):
