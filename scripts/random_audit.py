@@ -43,7 +43,6 @@ from agorad.blockedness import (
     is_totally_blocked,
 )
 from agorad.domain import serialize_domain, two_element_subsets
-from agorad.oracles import bruteforce_binary, bruteforce_ternary_nontrivial
 from agorad.search import (
     EXHAUSTED,
     FOUND,
@@ -63,6 +62,7 @@ from helpers import (
     random_boolean_domain,
     random_domain,
 )
+from oracles import bruteforce_binary, bruteforce_ternary_nontrivial
 
 
 def audit_blocked(d) -> bool:

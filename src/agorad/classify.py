@@ -251,23 +251,6 @@ def analyze(d: Domain, options: AnalysisOptions | None = None) -> AnalysisReport
     )
 
 
-_REPORT_KEYS = (
-    "issues",
-    "alphabet_sizes",
-    "projection_sizes",
-    "feasible",
-    "possibility",
-    "witness_kind",
-    "totally_blocked",
-    "affine",
-    "bijunctive",
-    "upd",
-    "mcsp",
-    "multiply_constrained",
-    "witness_locally_monomorphic",
-)
-
-
 def serialize_report(report: AnalysisReport) -> str:
     """Canonical key = value lines, fixed key order, optional keys dropped."""
     values = {
@@ -285,9 +268,7 @@ def serialize_report(report: AnalysisReport) -> str:
         "multiply_constrained": report.multiply_constrained,
         "witness_locally_monomorphic": report.witness_locally_monomorphic,
     }
-    lines = [
-        f"{key} = {values[key]}" for key in _REPORT_KEYS if values[key] is not None
-    ]
+    lines = [f"{key} = {value}" for key, value in values.items() if value is not None]
     return "\n".join(lines) + "\n"
 
 

@@ -192,7 +192,7 @@ def parse_domain(text: str, *, allow_large: bool = False) -> Domain:
         if fields[0] == "issues":
             if issue_count is not None:
                 raise ParseError("duplicate 'issues' line", line_no)
-            if len(fields) != 2 or not fields[1].isdigit():
+            if len(fields) != 2 or not fields[1].isdecimal():
                 raise ParseError("expected 'issues <m>'", line_no)
             issue_count = int(fields[1])
             if issue_count < 1:
@@ -202,7 +202,7 @@ def parse_domain(text: str, *, allow_large: bool = False) -> Domain:
                 raise ParseError("'alphabet' before 'issues'", line_no)
             head, sep, rest = line.partition(":")
             head_fields = head.split()
-            if not sep or len(head_fields) != 2 or not head_fields[1].isdigit():
+            if not sep or len(head_fields) != 2 or not head_fields[1].isdecimal():
                 raise ParseError("expected 'alphabet <j>: <tok> ...'", line_no)
             j = int(head_fields[1])
             if not 1 <= j <= issue_count:
@@ -227,9 +227,9 @@ def parse_domain(text: str, *, allow_large: bool = False) -> Domain:
 
     if issue_count is None:
         raise ParseError("missing 'issues' header")
-    missing = [j for j in range(1, issue_count + 1) if j not in alphabets]
-    if missing:
-        raise ParseError(f"missing alphabet line(s) for issue(s) {missing}")
+    if len(alphabets) < issue_count:
+        missing = next(j for j in range(1, issue_count + 1) if j not in alphabets)
+        raise ParseError(f"missing alphabet line for issue {missing}")
     if not tuple_lines:
         raise ParseError("no feasible tuples")
 

@@ -171,7 +171,7 @@ def parse_instance(
                 except OSError as exc:
                     raise ParseError(f"cannot read domain file: {exc}", line_no)
         elif fields[0] == "var":
-            if len(fields) != 4 or fields[2] != "sort" or not fields[3].isdigit():
+            if len(fields) != 4 or fields[2] != "sort" or not fields[3].isdecimal():
                 raise ParseError("expected 'var <name> sort <j>'", line_no)
             name = fields[1]
             if name in sorts:
@@ -189,7 +189,7 @@ def parse_instance(
                 if not sep:
                     raise ParseError("expected 'constraint subset <j> {..}: <v>'", line_no)
                 head_fields = head.split(None, 1)
-                if len(head_fields) != 2 or not head_fields[0].isdigit():
+                if len(head_fields) != 2 or not head_fields[0].isdecimal():
                     raise ParseError("expected 'constraint subset <j> {..}: <v>'", line_no)
                 j = int(head_fields[0])
                 brace = head_fields[1].strip()

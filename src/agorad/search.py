@@ -5,12 +5,15 @@ multi-sorted conservative CSP over X: cells taking values of their issue,
 and scopes of one cell per issue that must read a feasible row. In a
 table search the cells are the table cells and every selection of
 feasible rows is a scope, so a leaf is closed by construction (wrappers
-still re-verify it, once, with ``aggregators.verify_witness``). A search
-plan preassigns the cells a witness kind forces (equal-argument cells,
-the majority or minority law, a pinned two-element restriction) and
-leaves the rest as decision variables with their supportive value
-choices. The brute-force oracles that cross-examine these searches live
-in ``agorad.oracles``.
+still re-verify it, once, with ``aggregators.verify_witness``). Every
+search plan comes from one planner, ``_plan_by_law``: a law on argument
+tuples preassigns the cells a witness kind forces (equal-argument cells,
+the majority or minority law), pins override it where a component search
+fixes a two-element restriction, and the other cells become decision
+variables with their supportive value choices, three cells to a variable
+where the uniform identity ties them. The brute-force oracles that
+cross-examine these searches live outside the package, in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -320,18 +323,31 @@ def run_table_search(
     return SearchOutcome(status, snapshot(values) if status == FOUND else None, stats)
 
 
-def _plan_by_law(d: Domain, arity: int, law):
-    """Plan where ``law(args)`` either forces a cell or leaves it free."""
+def _plan_by_law(d: Domain, arity: int, law, *, tie: bool = False, pins=None):
+    """The plan of every table search: ``law(args)`` forces a cell or frees it.
+
+    ``pins`` maps (0-based issue, argument tuple) to a value that replaces
+    the law at that cell. With ``tie``, the three free cells of a ternary
+    table with one odd argument (solo,dup,dup), (dup,solo,dup),
+    (dup,dup,solo) of each ordered pair (solo, dup) share one variable:
+    the identity f(x,y,y) = f(y,x,y) = f(y,y,x) of a uniform witness.
+    Every other free cell is a variable of its own. Variables are listed
+    at their first cell, with that cell's arguments as choices.
+    """
+    pins = pins or {}
     preassigned = []
-    variables = []
+    free = {}  # variable key -> (cells, choices), in first-cell order
     for jj in range(d.issue_count):
         for idx, args in enumerate(product(d.projections[jj], repeat=arity)):
-            forced = law(args)
+            forced = pins[jj, args] if (jj, args) in pins else law(args)
             if forced is not None:
                 preassigned.append((jj, idx, forced))
-            else:
-                choices = tuple(dict.fromkeys(args))
-                variables.append(_Var(cells=((jj, idx),), choices=choices))
+                continue
+            choices = tuple(dict.fromkeys(args))
+            # the sorted arguments of a one-odd-argument cell name (solo, dup)
+            key = (jj, tuple(sorted(args))) if tie and len(choices) == 2 else (jj, idx)
+            free.setdefault(key, ([], choices))[0].append((jj, idx))
+    variables = [_Var(tuple(cells), choices) for cells, choices in free.values()]
     return preassigned, variables
 
 
@@ -340,47 +356,6 @@ def _free_law(args):
     if all(a == first for a in args):
         return first
     return None
-
-
-def _plan_uniform(d: Domain):
-    """Ternary plan tying the three one-odd-argument cells per value pair.
-
-    For each ordered pair (solo, dup) the cells (solo,dup,dup),
-    (dup,solo,dup), (dup,dup,solo) share a single two-way decision, which
-    encodes the commutativity identity the uniform witness must satisfy.
-    Equal-argument cells are forced, pairwise-distinct cells stay free.
-    """
-    preassigned = []
-    variables = []
-    for jj in range(d.issue_count):
-        values = d.projections[jj]
-        k = len(values)
-        pos = {v: i for i, v in enumerate(values)}
-
-        def enc(a, b, c):
-            return (pos[a] * k + pos[b]) * k + pos[c]
-
-        for v in values:
-            preassigned.append((jj, enc(v, v, v), v))
-        for solo in values:
-            for dup in values:
-                if solo == dup:
-                    continue
-                cells = sorted(
-                    (enc(solo, dup, dup), enc(dup, solo, dup), enc(dup, dup, solo))
-                )
-                variables.append(
-                    _Var(
-                        cells=tuple((jj, c) for c in cells),
-                        choices=(min(solo, dup), max(solo, dup)),
-                    )
-                )
-        if k >= 3:
-            for idx, args in enumerate(product(values, repeat=3)):
-                if len(set(args)) == 3:
-                    variables.append(_Var(cells=((jj, idx),), choices=args))
-    variables.sort(key=lambda var: var.cells[0])
-    return preassigned, variables
 
 
 def _plan_component(d: Domain, j: int, pair, op: str):
@@ -392,43 +367,35 @@ def _plan_component(d: Domain, j: int, pair, op: str):
     order is a fixed function of the query, keeping the search
     deterministic.
     """
-    zero, one = (pair[0], pair[1]) if pair[0] < pair[1] else (pair[1], pair[0])
-    jj0 = j - 1
-    values0 = d.projections[jj0]
-    k0 = len(values0)
-    pos0 = {v: i for i, v in enumerate(values0)}
-    pins = {}
-    for args in product((zero, one), repeat=3):
-        idx = (pos0[args[0]] * k0 + pos0[args[1]]) * k0 + pos0[args[2]]
-        pins[(jj0, idx)] = eval_named(op.lower(), (zero, one), *args)
-    preassigned, variables = _plan_by_law(d, 3, _free_law)
-    preassigned = [(jj, idx, v) for (jj, idx), v in pins.items()] + [
-        cell for cell in preassigned if cell[:2] not in pins
-    ]
-    variables = [var for var in variables if var.cells[0] not in pins]
+    labeling = tuple(sorted(pair))
+    pins = {
+        (j - 1, args): eval_named(op.lower(), labeling, *args)
+        for args in product(labeling, repeat=3)
+    }
+    preassigned, variables = _plan_by_law(d, 3, _free_law, pins=pins)
     # a stable sort: _plan_by_law lists issues in ascending order
-    variables.sort(key=lambda var: abs(var.cells[0][0] - jj0))
+    variables.sort(key=lambda var: abs(var.cells[0][0] - (j - 1)))
     return preassigned, variables
+
+
+def _find_ternary(d: Domain, budget, kind: str, law, *, tie: bool = False):
+    """Plan by ``law``, search, and verify a found witness as ``kind``."""
+    require_valid(d)
+    preassigned, variables = _plan_by_law(d, 3, law, tie=tie)
+    outcome = run_table_search(d, 3, preassigned, variables, budget=budget)
+    if outcome.status == FOUND:
+        verify_witness(d, outcome.witness, kind)
+    return outcome
 
 
 def find_majority(d: Domain, budget: SearchBudget | None = None) -> SearchOutcome:
     """Ternary witness whose every component obeys the majority law."""
-    require_valid(d)
-    preassigned, variables = _plan_by_law(d, 3, _majority_law)
-    outcome = run_table_search(d, 3, preassigned, variables, budget=budget)
-    if outcome.status == FOUND:
-        verify_witness(d, outcome.witness, "majority")
-    return outcome
+    return _find_ternary(d, budget, "majority", _majority_law)
 
 
 def find_minority(d: Domain, budget: SearchBudget | None = None) -> SearchOutcome:
     """Ternary witness whose every component returns the odd value out."""
-    require_valid(d)
-    preassigned, variables = _plan_by_law(d, 3, _minority_law)
-    outcome = run_table_search(d, 3, preassigned, variables, budget=budget)
-    if outcome.status == FOUND:
-        verify_witness(d, outcome.witness, "minority")
-    return outcome
+    return _find_ternary(d, budget, "minority", _minority_law)
 
 
 def find_uniform(d: Domain, budget: SearchBudget | None = None) -> SearchOutcome:
@@ -438,12 +405,7 @@ def find_uniform(d: Domain, budget: SearchBudget | None = None) -> SearchOutcome
     the four-op set everywhere, which ``verify_witness`` re-checks with
     closure; exhaustion refutes uniform possibility.
     """
-    require_valid(d)
-    preassigned, variables = _plan_uniform(d)
-    outcome = run_table_search(d, 3, preassigned, variables, budget=budget)
-    if outcome.status == FOUND:
-        verify_witness(d, outcome.witness, "uniform")
-    return outcome
+    return _find_ternary(d, budget, "uniform", _free_law, tie=True)
 
 
 def find_binary_nondictatorial(

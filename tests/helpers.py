@@ -76,8 +76,8 @@ def count_calls(monkeypatch, original) -> list:
 
 
 class FakeClock:
-    """Stands in for the ``time`` module of ``agorad.search`` or
-    ``agorad.oracles``.
+    """Stands in for the ``time`` module of ``agorad.search`` or of the
+    test-side ``oracles``.
 
     ``monotonic()`` returns the given readings one by one, then repeats the
     last; ``now`` may also be set, or advanced, by the test itself.

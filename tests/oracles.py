@@ -3,7 +3,8 @@
 They share nothing with the table-search engine: they enumerate whole
 per-issue supportive tables and test closure with a plain loop over row
 selections. Their verdicts are definitive within their capacity bounds.
-Tests and scripts import this module; the package itself never does.
+This module lives beside the tests, outside the package: the tests and
+``scripts/random_audit.py`` import it; the package never does.
 """
 
 from __future__ import annotations
@@ -11,11 +12,11 @@ from __future__ import annotations
 import time
 from itertools import product
 
-from .aggregators import AggregatorTuple, OperationTable
-from .domain import Domain, require_valid
-from .errors import CapacityError
-from .search import BUDGET_EXCEEDED, EXHAUSTED, FOUND, SearchBudget, SearchOutcome
-from .search import _TIME_CHECK_MASK, SearchStats
+from agorad.aggregators import AggregatorTuple, OperationTable
+from agorad.domain import Domain, require_valid
+from agorad.errors import CapacityError
+from agorad.search import BUDGET_EXCEEDED, EXHAUSTED, FOUND, SearchBudget, SearchOutcome
+from agorad.search import _TIME_CHECK_MASK, SearchStats
 
 
 def _supportive_tables(values, arity: int):

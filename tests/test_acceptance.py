@@ -24,11 +24,6 @@ from agorad.cli import main as cli_main
 from agorad.domain import two_element_subsets
 from agorad.fixtures import fixture_domain, fixture_text
 from agorad.mcsp import SAT, UNSAT, solve, verify_assignment
-from agorad.oracles import (
-    all_binary_aggregators,
-    bruteforce_binary,
-    bruteforce_ternary_nontrivial,
-)
 from agorad.search import (
     EXHAUSTED,
     FOUND,
@@ -41,6 +36,11 @@ from agorad.search import (
 from agorad.blockedness import is_totally_blocked
 
 from helpers import random_boolean_domain, random_domain
+from oracles import (
+    all_binary_aggregators,
+    bruteforce_binary,
+    bruteforce_ternary_nontrivial,
+)
 from test_mcsp import exhaustive_solve, random_instance
 from test_search import check_four_ops_everywhere, check_item4
 

@@ -22,7 +22,6 @@ from agorad.blockedness import (
 from agorad.domain import build_domain, two_element_subsets, validate
 from agorad.errors import PartitionUnavailableError
 from agorad.fixtures import fixture_domain
-from agorad.oracles import all_binary_aggregators, bruteforce_binary
 from agorad.search import EXHAUSTED
 
 from helpers import (
@@ -35,6 +34,7 @@ from helpers import (
     source_classes,
     sub_boxes,
 )
+from oracles import all_binary_aggregators, bruteforce_binary
 
 FULL_W_BOX = SubBox(cells=((0, 1), (0, 1), (0, 1)))
 

@@ -14,10 +14,10 @@ from agorad.classify import (
     serialize_report,
 )
 from agorad.fixtures import fixture_domain
-from agorad.oracles import bruteforce_ternary_nontrivial
 from agorad.search import FOUND
 
 from helpers import random_boolean_domain, random_domain
+from oracles import bruteforce_ternary_nontrivial
 
 
 class TestPossibility:

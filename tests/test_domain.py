@@ -122,6 +122,28 @@ def test_parse_errors_carry_line_numbers():
         parse_domain("alphabet 1: a b\n")
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [("issues \u00b2\n", 1), ("issues 1\nalphabet \u00b2: a b\ntuple: a\n", 2)],
+    ids=["issues", "alphabet"],
+)
+def test_non_decimal_numeral_rejected_with_line_number(text, line):
+    with pytest.raises(ParseError) as err:
+        parse_domain(text)
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize(
+    "text, missing",
+    [("issues 3\nalphabet 1: a b\ntuple: a\n", 2), ("issues 1000000\ntuple: a\n", 1)],
+    ids=["second-of-3", "first-of-1000000"],
+)
+def test_missing_alphabet_names_first_missing_issue(text, missing):
+    with pytest.raises(ParseError) as err:
+        parse_domain(text)
+    assert str(err.value) == f"missing alphabet line for issue {missing}"
+
+
 def test_capacity_guards():
     with pytest.raises(CapacityError):
         build_domain([("0", "1")] * 9, [tuple("0" for _ in range(9))])

@@ -176,6 +176,19 @@ class TestParseInstance:
         with pytest.raises(ParseError, match="line 2: duplicate 'domain' line"):
             parse_instance(text, domain=w, base_dir=tmp_path)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("var a sort \u00b2\n", 1),
+            ("var a sort 1\nconstraint subset \u00b2 {0}: a\n", 2),
+        ],
+        ids=["var-sort", "constraint-subset"],
+    )
+    def test_non_decimal_numeral_rejected_with_line_number(self, w, text, line):
+        with pytest.raises(ParseError) as err:
+            parse_instance(text, domain=w)
+        assert err.value.line == line
+
     def test_missing_domain_rejected(self):
         with pytest.raises(ParseError):
             parse_instance("var a sort 1\n")

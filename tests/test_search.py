@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from agorad import aggregators, oracles, search
+from agorad import aggregators, search
 from agorad.aggregators import (
     FOUR_OPS,
     diamond,
@@ -19,11 +19,6 @@ from agorad.aggregators import (
 from agorad.domain import build_domain, two_element_subsets
 from agorad.errors import CapacityError
 from agorad.fixtures import fixture_domain
-from agorad.oracles import (
-    all_binary_aggregators,
-    bruteforce_binary,
-    bruteforce_ternary_nontrivial,
-)
 from agorad.search import (
     BUDGET_EXCEEDED,
     EXHAUSTED,
@@ -37,7 +32,13 @@ from agorad.search import (
     fold_diamond_cover,
 )
 
+import oracles
 from helpers import FakeClock, count_calls, random_boolean_domain, random_domain
+from oracles import (
+    all_binary_aggregators,
+    bruteforce_binary,
+    bruteforce_ternary_nontrivial,
+)
 
 
 def check_item4(d, agg):
@@ -412,8 +413,13 @@ def planned_cells(d, arity, plan):
     ]
 
 
+def assert_strictly_increasing(keys):
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
 class TestPlanLayout:
-    """Plans decoded with OperationTable.cell_args match their laws."""
+    """Plans decoded with OperationTable.cell_args match their laws, and
+    list their variables in the order the search tries them."""
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     @pytest.mark.parametrize("law_name", sorted(LAWS))
@@ -428,11 +434,13 @@ class TestPlanLayout:
                 (cell_args,) = args
                 assert law(cell_args) is None
                 assert value == tuple(dict.fromkeys(cell_args))
+        assert_strictly_increasing([var.cells[0] for var in plan[1]])
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_uniform_plan(self, name):
         d = fixture_domain(name)
-        for kind, _, args, value in planned_cells(d, 3, search._plan_uniform(d)):
+        plan = search._plan_by_law(d, 3, search._free_law, tie=True)
+        for kind, _, args, value in planned_cells(d, 3, plan):
             if kind == "forced":
                 assert len(set(args)) == 1 and value == args[0]
             elif len(args) == 1:
@@ -445,6 +453,9 @@ class TestPlanLayout:
                     {(solo, dup, dup), (dup, solo, dup), (dup, dup, solo)}
                 )
                 assert value == (min(solo, dup), max(solo, dup))
+        for var in plan[1]:
+            assert_strictly_increasing(var.cells)
+        assert_strictly_increasing([var.cells[0] for var in plan[1]])
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_component_plans(self, name):
@@ -467,8 +478,10 @@ class TestPlanLayout:
                         else:
                             assert value == free(args) is not None
                     assert pinned == 8
-                    distances = [abs(var.cells[0][0] - (j - 1)) for var in plan[1]]
-                    assert distances == sorted(distances)
+                    firsts = [var.cells[0] for var in plan[1]]
+                    assert_strictly_increasing(
+                        [(abs(jj - (j - 1)), (jj, idx)) for jj, idx in firsts]
+                    )
 
 
 class TestComponentRerunPass:
