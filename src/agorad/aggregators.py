@@ -7,20 +7,25 @@ the feasible set is what turns a candidate into an aggregator, and that is
 checked explicitly, never presumed.
 
 Tables are stored densely over the projection values using mixed-radix
-indexing in ascending code order, which keeps lookups O(1) inside the
-closure loops. Arguments outside the projection fall back to the first
-argument; all decision procedures quantify over projection values only,
-so this convention never affects an outcome.
+indexing in ascending code order, which keeps lookups O(1). Arguments
+outside the projection fall back to the first argument; all decision
+procedures quantify over projection values only, so this convention
+never affects an outcome.
+
+The selection table of an arity, built and cached here, lays all tables
+end to end as one cell range and gives every selection of n feasible
+rows the scope of cells that produces its image: ``is_closed`` scans it,
+the table searches of ``agorad.search`` solve over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import permutations, product
+from functools import cached_property, lru_cache
+from itertools import accumulate, islice, permutations, product
 
-from .domain import Domain, two_element_subsets
-from .errors import ParseError, VerificationError
+from .domain import MAX_FEASIBLE, Domain, two_element_subsets
+from .errors import CapacityError, ParseError, VerificationError
 
 FOUR_OPS = frozenset({"AND3", "OR3", "MAJ", "XOR3"})
 
@@ -196,37 +201,55 @@ def operation_from_callable(d: Domain, j: int, arity: int, fn) -> OperationTable
     return OperationTable(issue=j, arity=arity, values=values, table=table)
 
 
-def is_closed(d: Domain, agg: AggregatorTuple) -> ClosureResult:
-    """Does every componentwise image of feasible rows stay feasible?
+@lru_cache(maxsize=4)
+def _propagation_tables(d: Domain, arity: int):
+    """The selection table of one arity: an engine instance, and cell offsets.
 
-    Scans all |X|^n row selections in lexicographic order over the
-    canonical row indexing and reports the first counterexample matrix.
+    Cell idx of issue jj is flat cell offsets[jj] + idx; scope ti holds per
+    issue the cell that produces the image coordinate of row selection ti.
+
+    Refuses, before allocating, more row selections than a ternary table
+    on a domain at the parse guard's row limit has.
     """
-    check_alignment(d, agg)
     rows = d.feasible
-    n = agg.arity
+    n_rows = len(rows)
+    if n_rows**arity > MAX_FEASIBLE**3:
+        raise CapacityError(
+            f"{n_rows}^{arity} row selections exceed the table-build guard "
+            f"of {MAX_FEASIBLE**3}"
+        )
     m = d.issue_count
-    # per issue: value position of each row's coordinate, for fast indexing
-    pcols = []
-    ks = []
-    for jj in range(m):
-        pos = agg.components[jj]._pos
-        pcols.append([pos[row[jj]] for row in rows])
-        ks.append(len(d.projections[jj]))
-    tables = [comp.table for comp in agg.components]
-    values = [comp.values for comp in agg.components]
-    feasible_set = d.feasible_set
-    for selection in product(range(len(rows)), repeat=n):
-        image = []
-        for jj in range(m):
-            k = ks[jj]
-            pcol = pcols[jj]
+    ks = [len(d.projections[jj]) for jj in range(m)]
+    offsets = (0, *accumulate(k**arity for k in ks))
+    issue_of = tuple(jj for jj in range(m) for _ in range(ks[jj] ** arity))
+    watchers = [[] for _ in issue_of]
+    scopes = []
+    pcols = [[d.projections[jj].index(row[jj]) for row in rows] for jj in range(m)]
+    for ti, selection in enumerate(product(range(n_rows), repeat=arity)):
+        scope = []
+        for k, pcol, offset in zip(ks, pcols, offsets):
             idx = 0
             for r in selection:
                 idx = idx * k + pcol[r]
-            image.append(tables[jj][idx])
-        if tuple(image) not in feasible_set:
-            matrix = tuple(rows[r] for r in selection)
+            watchers[offset + idx].append(ti)
+            scope.append(offset + idx)
+        scopes.append(tuple(scope))
+    return offsets, (issue_of, tuple(map(tuple, watchers)), tuple(scopes))
+
+
+def is_closed(d: Domain, agg: AggregatorTuple) -> ClosureResult:
+    """Does every componentwise image of feasible rows stay feasible?
+
+    Scans the selection table, all |X|^n row selections in lexicographic
+    order over the canonical row indexing, for the first counterexample.
+    """
+    check_alignment(d, agg)
+    _, (_, _, scopes) = _propagation_tables(d, agg.arity)
+    cells = [out for comp in agg.components for out in comp.table]
+    feasible_set = d.feasible_set
+    for ti, scope in enumerate(scopes):
+        if tuple(map(cells.__getitem__, scope)) not in feasible_set:
+            matrix = next(islice(product(d.feasible, repeat=agg.arity), ti, None))
             return ClosureResult(False, matrix)
     return ClosureResult(True, None)
 
@@ -487,7 +510,7 @@ def parse_aggregator(text: str, d: Domain) -> AggregatorTuple:
     """Inverse of serialize_aggregator; requires complete tables."""
     arity: int | None = None
     current: int | None = None
-    cells: dict[int, dict[int, int]] = {}
+    cells: dict[int, dict[tuple[int, ...], int]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -530,14 +553,9 @@ def parse_aggregator(text: str, d: Domain) -> AggregatorTuple:
             values = d.projection(current)
             if any(a not in values for a in args) or value not in values:
                 raise ParseError("cell uses values outside the projection", line_no)
-            k = len(values)
-            pos = {v: i for i, v in enumerate(values)}
-            idx = 0
-            for a in args:
-                idx = idx * k + pos[a]
-            if idx in cells[current]:
+            if args in cells[current]:
                 raise ParseError("duplicate cell", line_no)
-            cells[current][idx] = value
+            cells[current][args] = value
     if arity is None:
         raise ParseError("missing 'aggregator arity' header")
     comps = []
@@ -549,6 +567,6 @@ def parse_aggregator(text: str, d: Domain) -> AggregatorTuple:
             raise ParseError(
                 f"component {j} has {len(got)} cells, expected {expected}"
             )
-        table = tuple(got[idx] for idx in range(expected))
+        table = tuple(got[args] for args in product(values, repeat=arity))
         comps.append(OperationTable(issue=j, arity=arity, values=values, table=table))
     return AggregatorTuple(arity=arity, components=tuple(comps))

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations, product
 from math import prod
 
@@ -83,10 +83,6 @@ class BlockednessGraph:
     edges: tuple[tuple[Vertex, Vertex], ...]
     witnesses: tuple[Mipe, ...]  # aligned with edges
     sccs: tuple[tuple[Vertex, ...], ...]  # each sorted; list sorted by least vertex
-
-    @cached_property
-    def edge_witness(self) -> dict[tuple[Vertex, Vertex], Mipe]:
-        return dict(zip(self.edges, self.witnesses))
 
     @property
     def is_strongly_connected(self) -> bool:

@@ -46,7 +46,11 @@ def _budget_from(args) -> SearchBudget:
     nodes = SearchBudget.max_nodes if args.budget_nodes is None else args.budget_nodes
     millis = args.budget_ms
     if millis is None:
-        millis = int(os.environ.get("AGORAD_BUDGET_MS", SearchBudget.max_millis))
+        text = os.environ.get("AGORAD_BUDGET_MS", str(SearchBudget.max_millis))
+        try:
+            millis = int(text)
+        except ValueError:
+            raise ValueError(f"AGORAD_BUDGET_MS must be an integer, got {text!r}") from None
     return SearchBudget(max_nodes=nodes, max_millis=millis)
 
 

@@ -81,44 +81,53 @@ def make_instance(domain, variables, sorts, constraints) -> McspInstance:
     require_valid(domain)
     variables = tuple(variables)
     sorts = dict(sorts)
-    m = domain.issue_count
     if len(set(variables)) != len(variables):
         raise ValueError("duplicate variable name")
     for v in variables:
         if v not in sorts:
             raise ValueError(f"variable {v!r} has no sort")
-        if not 1 <= sorts[v] <= m:
-            raise ValueError(f"sort {sorts[v]} of {v!r} out of range 1..{m}")
+        _check_sort(domain, v, sorts[v])
     known = set(variables)
     for con in constraints:
-        if isinstance(con, XConstraint):
-            if any(v not in known for v in con.scope):
-                raise ValueError(f"constraint scope uses unknown variable")
-            actual = tuple(sorts[v] for v in con.scope)
-            if actual != tuple(range(1, m + 1)):
-                raise SignatureError(
-                    f"scope sorts {actual} do not match the signature {tuple(range(1, m + 1))}"
-                )
-        elif isinstance(con, SubsetConstraint):
-            if con.var not in known:
-                raise ValueError(f"constraint on unknown variable {con.var!r}")
-            if not 1 <= con.issue <= m:
-                raise ValueError(f"sort {con.issue} out of range")
-            if sorts[con.var] != con.issue:
-                raise SignatureError(
-                    f"variable {con.var!r} has sort {sorts[con.var]}, relation is on sort {con.issue}"
-                )
-            alphabet_codes = set(range(len(domain.alphabets[con.issue - 1])))
-            if not con.allowed or not set(con.allowed) <= alphabet_codes:
-                raise ValueError("subset relation must be a non-empty alphabet subset")
-        else:
-            raise ValueError(f"unknown constraint type {type(con).__name__}")
+        _check_constraint(domain, known, sorts, con)
     return McspInstance(
         domain=domain,
         variables=variables,
         sorts=sorts,
         constraints=tuple(constraints),
     )
+
+
+def _check_sort(domain: Domain, v: str, sort: int) -> None:
+    if not 1 <= sort <= domain.issue_count:
+        raise ValueError(f"sort {sort} of {v!r} out of range 1..{domain.issue_count}")
+
+
+def _check_constraint(domain: Domain, known, sorts, con) -> None:
+    m = domain.issue_count
+    if isinstance(con, XConstraint):
+        for v in con.scope:
+            if v not in known:
+                raise ValueError(f"constraint scope uses unknown variable {v!r}")
+        actual = tuple(sorts[v] for v in con.scope)
+        if actual != tuple(range(1, m + 1)):
+            raise SignatureError(
+                f"scope sorts {actual} do not match the signature {tuple(range(1, m + 1))}"
+            )
+    elif isinstance(con, SubsetConstraint):
+        if con.var not in known:
+            raise ValueError(f"constraint on unknown variable {con.var!r}")
+        if not 1 <= con.issue <= m:
+            raise ValueError(f"sort {con.issue} out of range")
+        if sorts[con.var] != con.issue:
+            raise SignatureError(
+                f"variable {con.var!r} has sort {sorts[con.var]}, relation is on sort {con.issue}"
+            )
+        alphabet_codes = set(range(len(domain.alphabets[con.issue - 1])))
+        if not con.allowed or not set(con.allowed) <= alphabet_codes:
+            raise ValueError("subset relation must be a non-empty alphabet subset")
+    else:
+        raise ValueError(f"unknown constraint type {type(con).__name__}")
 
 
 def materialize_language(domain: Domain) -> tuple[RelationDescriptor, ...]:
@@ -147,10 +156,15 @@ def materialize_language(domain: Domain) -> tuple[RelationDescriptor, ...]:
 def parse_instance(
     text: str, *, domain: Domain | None = None, base_dir: str | Path = "."
 ) -> McspInstance:
-    """Parse instance text; an explicit ``domain`` overrides the file's."""
-    variables: list[str] = []
+    """Parse instance text; an explicit ``domain`` overrides the file's.
+
+    An error in a domain file is reported at the ``domain`` line, naming
+    the file and its own line; a variable or constraint that does not fit
+    the domain, at its line.
+    """
     sorts: dict[str, int] = {}
-    constraints: list[XConstraint | SubsetConstraint] = []
+    var_lines: dict[str, int] = {}  # in declaration order
+    constraints: list[tuple[int, XConstraint | SubsetConstraint]] = []
     file_domain: Domain | None = None
     domain_path: Path | None = None
 
@@ -170,19 +184,21 @@ def parse_instance(
                     file_domain = parse_domain(domain_path.read_text())
                 except OSError as exc:
                     raise ParseError(f"cannot read domain file: {exc}", line_no)
+                except ParseError as exc:
+                    raise ParseError(f"domain file {fields[1]}: {exc}", line_no) from None
         elif fields[0] == "var":
             if len(fields) != 4 or fields[2] != "sort" or not fields[3].isdecimal():
                 raise ParseError("expected 'var <name> sort <j>'", line_no)
             name = fields[1]
             if name in sorts:
                 raise ParseError(f"duplicate variable {name!r}", line_no)
-            variables.append(name)
             sorts[name] = int(fields[3])
+            var_lines[name] = line_no
         elif fields[0] == "constraint":
             rest = line[len("constraint") :].strip()
             if rest.startswith("X:"):
                 scope = tuple(rest[2:].split())
-                constraints.append(XConstraint(scope=scope))
+                constraints.append((line_no, XConstraint(scope=scope)))
             elif rest.startswith("subset"):
                 body = rest[len("subset") :].strip()
                 head, sep, var_part = body.rpartition(":")
@@ -201,9 +217,8 @@ def parse_instance(
                 var_names = var_part.split()
                 if len(var_names) != 1:
                     raise ParseError("subset constraints take one variable", line_no)
-                constraints.append(
-                    SubsetConstraint(var=var_names[0], issue=j, allowed=tokens)  # type: ignore[arg-type]
-                )
+                con = SubsetConstraint(var=var_names[0], issue=j, allowed=tokens)  # type: ignore[arg-type]
+                constraints.append((line_no, con))
             else:
                 raise ParseError(f"unknown constraint form {rest!r}", line_no)
         else:
@@ -212,20 +227,24 @@ def parse_instance(
     chosen = domain if domain is not None else file_domain
     if chosen is None:
         raise ParseError("no domain given: add a 'domain <path>' line")
-    # token -> code translation for subset constraints, now that sorts exist
+    require_valid(chosen)
+    known = set(var_lines)
     resolved: list[XConstraint | SubsetConstraint] = []
-    for con in constraints:
-        if isinstance(con, SubsetConstraint):
-            try:
+    try:
+        for name, line_no in var_lines.items():
+            _check_sort(chosen, name, sorts[name])
+        for line_no, con in constraints:
+            # subset tokens become codes now that the domain is known
+            if isinstance(con, SubsetConstraint):
                 codes = frozenset(chosen.code(con.issue, tok) for tok in con.allowed)
-            except ValueError as exc:
-                raise ParseError(str(exc)) from None
-            resolved.append(
-                SubsetConstraint(var=con.var, issue=con.issue, allowed=codes)
-            )
-        else:
+                con = SubsetConstraint(var=con.var, issue=con.issue, allowed=codes)
+            _check_constraint(chosen, known, sorts, con)
             resolved.append(con)
-    return make_instance(chosen, variables, sorts, resolved)
+    except (ValueError, SignatureError) as exc:
+        raise ParseError(str(exc), line_no) from None
+    return McspInstance(
+        domain=chosen, variables=tuple(var_lines), sorts=sorts, constraints=tuple(resolved)
+    )
 
 
 def verify_assignment(inst: McspInstance, assignment) -> bool:

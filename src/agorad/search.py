@@ -3,9 +3,10 @@
 All searches, and ``mcsp.solve``, share one engine core that solves a
 multi-sorted conservative CSP over X: cells taking values of their issue,
 and scopes of one cell per issue that must read a feasible row. In a
-table search the cells are the table cells and every selection of
-feasible rows is a scope, so a leaf is closed by construction (wrappers
-still re-verify it, once, with ``aggregators.verify_witness``). Every
+table search the instance is the selection table of ``aggregators``:
+the table cells, and a scope per selection of feasible rows, so a leaf is
+closed by construction (wrappers still re-verify it, once, with
+``aggregators.verify_witness``, which scans the same table). Every
 search plan comes from one planner, ``_plan_by_law``: a law on argument
 tuples preassigns the cells a witness kind forces (equal-argument cells,
 the majority or minority law), pins override it where a component search
@@ -20,8 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import accumulate, product
+from itertools import product
 
 from .aggregators import (
     AggregatorTuple,
@@ -29,13 +29,13 @@ from .aggregators import (
     _cyclic_composition,
     _majority_law,
     _minority_law,
+    _propagation_tables,
     eval_named,
     is_dictatorial,
     verify_witness,
 )
 from .blockedness import BlockednessGraph, binary_from_partition, build_graph
-from .domain import MAX_FEASIBLE, Domain, require_valid, two_element_subsets
-from .errors import CapacityError
+from .domain import Domain, require_valid, two_element_subsets
 
 FOUND = "FOUND"
 EXHAUSTED = "EXHAUSTED"
@@ -77,42 +77,6 @@ class _Var:
 
 def _deadline(budget: SearchBudget) -> float:
     return time.monotonic() + budget.max_millis / 1000.0
-
-
-@lru_cache(maxsize=4)
-def _propagation_tables(d: Domain, arity: int):
-    """The engine instance of the tables of one arity, and its cell offsets.
-
-    Cell idx of issue jj is flat cell offsets[jj] + idx; scope ti holds per
-    issue the cell that produces the image coordinate of row selection ti.
-
-    Refuses, before allocating, more row selections than a ternary search
-    on a domain at the parse guard's row limit needs.
-    """
-    rows = d.feasible
-    n_rows = len(rows)
-    if n_rows**arity > MAX_FEASIBLE**3:
-        raise CapacityError(
-            f"{n_rows}^{arity} row selections exceed the table-build guard "
-            f"of {MAX_FEASIBLE**3}"
-        )
-    m = d.issue_count
-    ks = [len(d.projections[jj]) for jj in range(m)]
-    offsets = (0, *accumulate(k**arity for k in ks))
-    issue_of = tuple(jj for jj in range(m) for _ in range(ks[jj] ** arity))
-    watchers = [[] for _ in issue_of]
-    scopes = []
-    pcols = [[d.projections[jj].index(row[jj]) for row in rows] for jj in range(m)]
-    for ti, selection in enumerate(product(range(n_rows), repeat=arity)):
-        scope = []
-        for k, pcol, offset in zip(ks, pcols, offsets):
-            idx = 0
-            for r in selection:
-                idx = idx * k + pcol[r]
-            watchers[offset + idx].append(ti)
-            scope.append(offset + idx)
-        scopes.append(tuple(scope))
-    return offsets, (issue_of, tuple(map(tuple, watchers)), tuple(scopes))
 
 
 def _search_instance(

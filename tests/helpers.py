@@ -93,17 +93,25 @@ class FakeClock:
         return self.now
 
 
-def naive_is_closed(d: Domain, agg) -> bool:
-    """Definition-level closure check: independent double loop, no indexing
-    tricks shared with the package implementation."""
+def naive_is_closed(d: Domain, agg):
+    """Definition-level closure check: (ok, first escaping selection or None).
+
+    An independent loop over row selections in product order, with each
+    table read through a dict keyed by argument tuple, so it shares no
+    indexing with the package implementation.
+    """
+    lookups = [
+        dict(zip(product(comp.values, repeat=agg.arity), comp.table))
+        for comp in agg.components
+    ]
     for selection in product(d.feasible, repeat=agg.arity):
-        image = []
-        for j in range(1, d.issue_count + 1):
-            column = tuple(row[j - 1] for row in selection)
-            image.append(agg.component(j).apply(column))
-        if tuple(image) not in d.feasible_set:
-            return False
-    return True
+        image = tuple(
+            lookup[tuple(row[j] for row in selection)]
+            for j, lookup in enumerate(lookups)
+        )
+        if image not in d.feasible_set:
+            return False, selection
+    return True, None
 
 
 def naive_mipes(d: Domain, cells, min_support: int):
@@ -283,7 +291,7 @@ def naive_witness_ok(d: Domain, agg, kind: str, pin=None) -> bool:
     uniform witness obeys f(x,y,y) = f(y,x,y) = f(y,y,x) on every pair; a
     component witness, ``pin`` = (j, pair, op), computes op on that pair.
     """
-    if not naive_is_closed(d, agg):
+    if not naive_is_closed(d, agg)[0]:
         return False
     m = d.issue_count
     if kind == "binary":

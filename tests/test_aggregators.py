@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -23,10 +24,10 @@ from agorad.aggregators import (
     superpose,
 )
 from agorad.domain import build_domain
-from agorad.errors import ParseError
+from agorad.errors import CapacityError, ParseError
 from agorad.fixtures import fixture_domain
 
-from helpers import naive_is_closed
+from helpers import naive_is_closed, random_domain
 
 
 def minority_witness(example3):
@@ -46,6 +47,22 @@ def minority_witness(example3):
         for j in range(1, 4)
     )
     return AggregatorTuple(arity=3, components=comps)
+
+
+def random_supportive(rng, d, arity):
+    """A projection with a random share of its cells, from none to all,
+    moved to a random argument: closed, nearly closed or arbitrary."""
+    share = rng.choice((0.0, 0.02, 0.2, 1.0))
+    dictator = rng.randrange(arity)
+    comps = []
+    for j in range(1, d.issue_count + 1):
+        values = d.projection(j)
+        table = tuple(
+            rng.choice(args) if rng.random() < share else args[dictator]
+            for args in product(values, repeat=arity)
+        )
+        comps.append(OperationTable(issue=j, arity=arity, values=values, table=table))
+    return AggregatorTuple(arity=arity, components=tuple(comps))
 
 
 def majority_witness(example2):
@@ -132,8 +149,24 @@ class TestIsClosed:
             ),
         )
         cases.append((w, w_and))
+        rng = random.Random(19)
+        for arity, max_rows in ((2, 10), (3, 8), (4, 5)):
+            for _ in range(40):
+                d = random_domain(rng, max_rows=max_rows)
+                cases.append((d, random_supportive(rng, d, arity)))
+        outcomes = set()
         for d, agg in cases:
-            assert is_closed(d, agg).ok == naive_is_closed(d, agg)
+            result = is_closed(d, agg)
+            assert (result.ok, result.counterexample) == naive_is_closed(d, agg)
+            outcomes.add(result.ok)
+        assert outcomes == {True, False}
+
+    def test_selection_guard_raises_before_scanning(self):
+        # 65^3 selections exceed the 64^3 guard of the selection table
+        rows = list(product("01", repeat=7))[:65]
+        d = build_domain([("0", "1")] * 7, rows, allow_large=True)
+        with pytest.raises(CapacityError, match="table-build guard"):
+            is_closed(d, projection_aggregator(d, 3, 1))
 
 
 class TestIsDictatorial:

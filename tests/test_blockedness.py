@@ -79,7 +79,7 @@ class TestEnumerateMipes:
     def test_invariants_hold_for_every_mipe(self, w, example2, example3):
         for d in (w, example2, example3):
             graph = build_graph(d)
-            for (src, dst), mipe in graph.edge_witness.items():
+            for (src, dst), mipe in zip(graph.edges, graph.witnesses):
                 support = mipe.support
                 assignment = mipe.assignment
                 # infeasible within the box

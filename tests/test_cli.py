@@ -181,6 +181,15 @@ class TestBudgetEnv:
         code, _ = run_cli("classify", str(path))
         assert code == 0
 
+    def test_non_integer_env_budget_names_the_variable(self, monkeypatch, capsys, w_file):
+        monkeypatch.setenv("AGORAD_BUDGET_MS", "abc")
+        code, out = run_cli("analyze", str(w_file))
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err == (
+            "error: AGORAD_BUDGET_MS must be an integer, got 'abc'\n"
+        )
+
 
 class TestFixtures:
     def test_oversized_full_boolean_rejected(self):

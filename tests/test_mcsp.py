@@ -189,6 +189,57 @@ class TestParseInstance:
             parse_instance(text, domain=w)
         assert err.value.line == line
 
+    @pytest.mark.parametrize(
+        "body, line, message",
+        [
+            ("var x sort 0\ndomain w.dom\n", 1, "sort 0 of 'x' out of range 1..3"),
+            (
+                "domain w.dom\nvar x sort 1\nvar y sort 2\nvar v sort 3\n"
+                "constraint X: x z v\n",
+                5,
+                "constraint scope uses unknown variable 'z'",
+            ),
+            (
+                "var x sort 1\nvar y sort 2\nconstraint X: x y y\ndomain w.dom\n",
+                3,
+                r"scope sorts \(1, 2, 2\) do not match the signature \(1, 2, 3\)",
+            ),
+            (
+                "domain w.dom\nconstraint subset 1 {0}: q\n",
+                2,
+                "constraint on unknown variable 'q'",
+            ),
+            (
+                "domain w.dom\nvar x sort 1\nconstraint subset 2 {0}: x\n",
+                3,
+                "variable 'x' has sort 1, relation is on sort 2",
+            ),
+            (
+                "domain w.dom\nvar x sort 1\n\nconstraint subset 1 {zz}: x\n",
+                4,
+                "unknown token 'zz' for issue 1",
+            ),
+        ],
+        ids=["sort", "scope-variable", "scope-sorts", "subset-variable",
+             "subset-sort", "subset-token"],
+    )
+    def test_misfit_line_reported_with_its_number(self, w, tmp_path, body, line, message):
+        from agorad.domain import serialize_domain
+
+        (tmp_path / "w.dom").write_text(serialize_domain(w))
+        with pytest.raises(ParseError, match=f"^line {line}: {message}$") as err:
+            parse_instance(body, base_dir=tmp_path)
+        assert err.value.line == line
+
+    def test_domain_file_error_reported_at_domain_line(self, tmp_path):
+        (tmp_path / "bad.dom").write_text("issues 2\nalphabet 1: a b\nbogus\n")
+        with pytest.raises(ParseError) as err:
+            parse_instance("domain bad.dom\nvar x sort 1\n", base_dir=tmp_path)
+        assert str(err.value) == (
+            "line 1: domain file bad.dom: line 3: unknown directive 'bogus'"
+        )
+        assert err.value.line == 1
+
     def test_missing_domain_rejected(self):
         with pytest.raises(ParseError):
             parse_instance("var a sort 1\n")

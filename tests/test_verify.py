@@ -64,7 +64,7 @@ def breaking_flip(d, agg, kind, pin, criterion):
     """The first single-cell flip that escapes the feasible set ("closure"),
     or that stays closed but breaks the kind's law ("law")."""
     for flipped in single_cell_flips(agg):
-        if not naive_is_closed(d, flipped):
+        if not naive_is_closed(d, flipped)[0]:
             if criterion == "closure":
                 return flipped
         elif criterion == "law" and not naive_witness_ok(d, flipped, kind, pin):
