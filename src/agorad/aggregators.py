@@ -6,11 +6,15 @@ are supportive by construction; nothing else is assumed). Closure under
 the feasible set is what turns a candidate into an aggregator, and that is
 checked explicitly, never presumed.
 
-Tables are stored densely over the projection values using mixed-radix
-indexing in ascending code order, which keeps lookups O(1). Arguments
-outside the projection fall back to the first argument; all decision
-procedures quantify over projection values only, so this convention
-never affects an outcome.
+One constructor builds every table from a rule: ``operation_from_callable``
+evaluates it on all argument tuples over the projection values, in
+``product`` order over ascending codes, and ``aggregator_from_callable``
+does so for a rule f_j(x_1, ..., x_n) on every issue j. Projections, the
+partition witness, superposition, the cyclic composition and parsed
+witnesses are all built this way. ``apply`` looks a tuple up in O(1);
+arguments outside the projection fall back to the first argument, and
+since all decision procedures quantify over projection values only, this
+convention never affects an outcome.
 
 The selection table of an arity, built and cached here, lays all tables
 end to end as one cell range and gives every selection of n feasible
@@ -21,7 +25,7 @@ the table searches of ``agorad.search`` solve over it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import accumulate, islice, permutations, product
 
 from .domain import MAX_FEASIBLE, Domain, two_element_subsets
@@ -80,9 +84,9 @@ def eval_named(op: str, labeling, x, y, z):
 class OperationTable:
     """Total supportive function on projection values of one issue.
 
-    ``table[i]`` is the output for the i-th argument tuple in mixed-radix
-    order over ``values``. Supportiveness (output is one of the arguments)
-    is asserted on construction.
+    ``table[i]`` is the output for the i-th argument tuple of
+    ``product(values, repeat=arity)``. Supportiveness (output is one of
+    the arguments) is asserted on construction.
     """
 
     issue: int  # 1-based
@@ -118,20 +122,16 @@ class OperationTable:
             idx //= k
         return tuple(args)
 
-    def cell_index(self, args) -> int:
-        k = len(self.values)
-        pos = self._pos
-        idx = 0
-        for a in args:
-            idx = idx * k + pos[a]
-        return idx
-
     def apply(self, args) -> int:
         """Table lookup; outside the projection, first-argument fallback."""
         pos = self._pos
-        if all(a in pos for a in args):
-            return self.table[self.cell_index(args)]
-        return args[0]
+        if not all(a in pos for a in args):
+            return args[0]
+        k = len(self.values)
+        idx = 0
+        for a in args:
+            idx = idx * k + pos[a]
+        return self.table[idx]
 
 
 @dataclass(frozen=True)
@@ -181,17 +181,10 @@ def check_alignment(d: Domain, agg: AggregatorTuple) -> None:
             raise ValueError(f"component {j} values differ from the projection")
 
 
-def projection_table(d: Domain, j: int, arity: int, dictator: int) -> OperationTable:
-    return operation_from_callable(d, j, arity, lambda *args: args[dictator - 1])
-
-
 def projection_aggregator(d: Domain, arity: int, dictator: int) -> AggregatorTuple:
     if not 1 <= dictator <= arity:
         raise ValueError(f"dictator index {dictator} outside 1..{arity}")
-    comps = tuple(
-        projection_table(d, j, arity, dictator) for j in range(1, d.issue_count + 1)
-    )
-    return AggregatorTuple(arity=arity, components=comps)
+    return aggregator_from_callable(d, arity, lambda j, *args: args[dictator - 1])
 
 
 def operation_from_callable(d: Domain, j: int, arity: int, fn) -> OperationTable:
@@ -199,6 +192,15 @@ def operation_from_callable(d: Domain, j: int, arity: int, fn) -> OperationTable
     values = d.projection(j)
     table = tuple(fn(*args) for args in product(values, repeat=arity))
     return OperationTable(issue=j, arity=arity, values=values, table=table)
+
+
+def aggregator_from_callable(d: Domain, arity: int, fn) -> AggregatorTuple:
+    """Build an aggregator whose issue-j table evaluates ``fn(j, *args)``."""
+    comps = tuple(
+        operation_from_callable(d, j, arity, partial(fn, j))
+        for j in range(1, d.issue_count + 1)
+    )
+    return AggregatorTuple(arity=arity, components=comps)
 
 
 @lru_cache(maxsize=4)
@@ -272,10 +274,7 @@ def is_dictatorial(d: Domain, agg: AggregatorTuple) -> int | None:
     """
     check_alignment(d, agg)
     for dictator in range(1, agg.arity + 1):
-        if all(
-            agg.component(j).table == projection_table(d, j, agg.arity, dictator).table
-            for j in range(1, d.issue_count + 1)
-        ):
+        if agg == projection_aggregator(d, agg.arity, dictator):
             return dictator
     return None
 
@@ -417,20 +416,13 @@ def superpose(d: Domain, outer: AggregatorTuple, inners) -> AggregatorTuple:
     k = inners[0].arity
     if any(h.arity != k for h in inners):
         raise ValueError("inner aggregators must share one arity")
-    comps = []
-    for j in range(1, d.issue_count + 1):
-        fo = outer.component(j)
-        his = [h.component(j) for h in inners]
-        values = d.projection(j)
-        table = []
-        for args in product(values, repeat=k):
-            idx = his[0].cell_index(args)
-            inner_values = tuple(h.table[idx] for h in his)
-            table.append(fo.table[fo.cell_index(inner_values)])
-        comps.append(
-            OperationTable(issue=j, arity=k, values=values, table=tuple(table))
-        )
-    result = AggregatorTuple(arity=k, components=tuple(comps))
+    result = aggregator_from_callable(
+        d,
+        k,
+        lambda j, *args: outer.component(j).apply(
+            tuple(h.component(j).apply(args) for h in inners)
+        ),
+    )
     check = is_closed(d, result)
     if not check.ok:
         raise VerificationError("superposition escaped the feasible set")
@@ -465,21 +457,13 @@ def _cyclic_composition(
     Closure is left to the caller: ``diamond`` checks inputs and result,
     a fold over verified inputs checks only its final composite.
     """
-    comps = []
-    for j in range(1, d.issue_count + 1):
-        fj = f.component(j)
+
+    def cyclic(j, x, y, z):
         gj = g.component(j)
-        values = d.projection(j)
-        table = []
-        for x, y, z in product(values, repeat=3):
-            a = gj.table[gj.cell_index((x, y, z))]
-            b = gj.table[gj.cell_index((y, z, x))]
-            c = gj.table[gj.cell_index((z, x, y))]
-            table.append(fj.table[fj.cell_index((a, b, c))])
-        comps.append(
-            OperationTable(issue=j, arity=3, values=values, table=tuple(table))
-        )
-    result = AggregatorTuple(arity=3, components=tuple(comps))
+        inner = (gj.apply((x, y, z)), gj.apply((y, z, x)), gj.apply((z, x, y)))
+        return f.component(j).apply(inner)
+
+    result = aggregator_from_callable(d, 3, cyclic)
     for j in range(1, d.issue_count + 1):
         for pair in two_element_subsets(d, j):
             f_cls = restriction_class(f.component(j), pair).tag
@@ -527,9 +511,10 @@ def parse_aggregator(text: str, d: Domain) -> AggregatorTuple:
         elif fields[0] == "component":
             if arity is None:
                 raise ParseError("'component' before the arity header", line_no)
-            if len(fields) < 2 or not fields[1].rstrip(":").isdecimal():
+            index = fields[1].removesuffix(":") if len(fields) == 2 else ""
+            if not index.isdecimal():
                 raise ParseError("expected 'component <j>:'", line_no)
-            current = int(fields[1].rstrip(":"))
+            current = int(index)
             if not 1 <= current <= d.issue_count:
                 raise ParseError(f"component index {current} out of range", line_no)
             if current in cells:
@@ -558,15 +543,9 @@ def parse_aggregator(text: str, d: Domain) -> AggregatorTuple:
             cells[current][args] = value
     if arity is None:
         raise ParseError("missing 'aggregator arity' header")
-    comps = []
     for j in range(1, d.issue_count + 1):
-        values = d.projection(j)
-        expected = len(values) ** arity
-        got = cells.get(j, {})
-        if len(got) != expected:
-            raise ParseError(
-                f"component {j} has {len(got)} cells, expected {expected}"
-            )
-        table = tuple(got[args] for args in product(values, repeat=arity))
-        comps.append(OperationTable(issue=j, arity=arity, values=values, table=table))
-    return AggregatorTuple(arity=arity, components=tuple(comps))
+        expected = len(d.projection(j)) ** arity
+        got = len(cells.get(j, {}))
+        if got != expected:
+            raise ParseError(f"component {j} has {got} cells, expected {expected}")
+    return aggregator_from_callable(d, arity, lambda j, *args: cells[j][args])

@@ -43,7 +43,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import prod
 
-from .aggregators import AggregatorTuple, OperationTable, verify_witness
+from .aggregators import AggregatorTuple, aggregator_from_callable, verify_witness
 from .domain import Domain, require_valid, two_element_subsets
 from .errors import CapacityError, PartitionUnavailableError
 
@@ -373,7 +373,8 @@ def binary_from_partition(d: Domain, graph: BlockednessGraph) -> AggregatorTuple
     enters from outside, so no edge runs from the rest into it; of those
     classes the first in ``graph.sccs``, the one holding the least vertex,
     is taken. Pairs in the first part project onto their first value,
-    pairs in the second onto their second, equal arguments pass through.
+    pairs in the second onto their second; equal arguments pass through,
+    as (j, u, u) is never a vertex.
     """
     if graph.is_strongly_connected:
         raise PartitionUnavailableError(
@@ -382,20 +383,9 @@ def binary_from_partition(d: Domain, graph: BlockednessGraph) -> AggregatorTuple
     class_of = {v: c for c, members in enumerate(graph.sccs) for v in members}
     entered = {class_of[b] for a, b in graph.edges if class_of[a] != class_of[b]}
     second_part = set(next(m for c, m in enumerate(graph.sccs) if c not in entered))
-    comps = []
-    for j in range(1, d.issue_count + 1):
-        values = d.projection(j)
-        table = []
-        for u in values:
-            for v in values:
-                if u == v:
-                    table.append(u)
-                else:
-                    table.append(v if (j, u, v) in second_part else u)
-        comps.append(
-            OperationTable(issue=j, arity=2, values=values, table=tuple(table))
-        )
-    result = AggregatorTuple(arity=2, components=tuple(comps))
+    result = aggregator_from_callable(
+        d, 2, lambda j, u, v: v if (j, u, v) in second_part else u
+    )
     verify_witness(d, result, "binary")
     return result
 

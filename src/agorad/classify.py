@@ -32,7 +32,6 @@ from .search import (
     find_majority,
     find_minority,
     find_uniform,
-    fold_diamond_cover,
 )
 
 YES = "yes"
@@ -160,25 +159,15 @@ def _classify_boolean(d: Domain, binary_found: bool) -> BooleanClassification:
     )
 
 
-def is_upd(
-    d: Domain,
-    budget: SearchBudget | None = None,
-    *,
-    validate: bool = False,
-) -> UpdDecision:
+def is_upd(d: Domain, budget: SearchBudget | None = None) -> UpdDecision:
     """Uniform possibility: a witness avoiding projections on every pair.
 
-    With ``validate`` set, the per-pair targeted searches folded by the
-    cyclic composition must reach the same verdict as the direct search.
+    Decided by the direct table search ``find_uniform``; the fold of
+    per-pair witnesses, ``fold_diamond_cover``, is the independent route
+    the acceptance suite compares it with.
     """
     require_valid(d)
     outcome = find_uniform(d, budget)
-    if validate:
-        folded = fold_diamond_cover(d, budget)
-        if folded.status != outcome.status:
-            raise VerificationError(
-                f"uniform search says {outcome.status}, fold says {folded.status}"
-            )
     if outcome.status == FOUND:
         return UpdDecision(YES, outcome.witness)
     if outcome.status == EXHAUSTED:

@@ -51,6 +51,8 @@ def _budget_from(args) -> SearchBudget:
             millis = int(text)
         except ValueError:
             raise ValueError(f"AGORAD_BUDGET_MS must be an integer, got {text!r}") from None
+        if millis <= 0:
+            raise ValueError(f"AGORAD_BUDGET_MS must be positive, got {text!r}")
     return SearchBudget(max_nodes=nodes, max_millis=millis)
 
 

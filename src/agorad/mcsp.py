@@ -186,6 +186,10 @@ def parse_instance(
                     raise ParseError(f"cannot read domain file: {exc}", line_no)
                 except ParseError as exc:
                     raise ParseError(f"domain file {fields[1]}: {exc}", line_no) from None
+                except CapacityError as exc:
+                    raise CapacityError(
+                        f"line {line_no}: domain file {fields[1]}: {exc}"
+                    ) from None
         elif fields[0] == "var":
             if len(fields) != 4 or fields[2] != "sort" or not fields[3].isdecimal():
                 raise ParseError("expected 'var <name> sort <j>'", line_no)

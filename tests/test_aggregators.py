@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -23,9 +23,10 @@ from agorad.aggregators import (
     serialize_aggregator,
     superpose,
 )
-from agorad.domain import build_domain
+from agorad.domain import build_domain, two_element_subsets
 from agorad.errors import CapacityError, ParseError
 from agorad.fixtures import fixture_domain
+from agorad.search import FOUND, find_component_nonprojection
 
 from helpers import naive_is_closed, random_domain
 
@@ -63,6 +64,36 @@ def random_supportive(rng, d, arity):
         )
         comps.append(OperationTable(issue=j, arity=arity, values=values, table=table))
     return AggregatorTuple(arity=arity, components=tuple(comps))
+
+
+def tables_by_args(d, agg):
+    """Per issue, the table as a dict keyed by argument tuple."""
+    return [
+        dict(zip(product(d.projection(j), repeat=agg.arity), agg.component(j).table))
+        for j in range(1, d.issue_count + 1)
+    ]
+
+
+@pytest.fixture(scope="module")
+def witness_sets():
+    """Distinct component witnesses, one per (issue, pair) that has one, on
+    the small fixtures and 30 seeded draws; domains with fewer than two
+    are skipped."""
+    rng = random.Random(7)
+    names = ("example2", "example3", "wxw", "y-horn", "z-affine", "yz-product")
+    domains = [fixture_domain(n) for n in names]
+    domains += [random_domain(rng) for _ in range(30)]
+    sets = []
+    for d in domains:
+        found = []
+        for j in range(1, d.issue_count + 1):
+            for pair in two_element_subsets(d, j):
+                outcome = find_component_nonprojection(d, j, pair)
+                if outcome.status == FOUND and outcome.witness not in found:
+                    found.append(outcome.witness)
+        if len(found) >= 2:
+            sets.append((d, found))
+    return sets
 
 
 def majority_witness(example2):
@@ -346,6 +377,23 @@ class TestSuperpose:
         with pytest.raises(ValueError):
             superpose(w, not_closed, [projection_aggregator(w, 2, 1)] * 2)
 
+    def test_matches_cellwise_composition(self, witness_sets):
+        # non-projection operands, expected tables read from dicts; the
+        # operand order must matter somewhere, or the check pins nothing
+        order_matters = False
+        for d, found in witness_sets:
+            for f, g in permutations(found, 2):
+                inners = (g, g, f)
+                got = tables_by_args(d, superpose(d, f, inners))
+                fs = tables_by_args(d, f)
+                hs = [tables_by_args(d, h) for h in inners]
+                for j, (fj, gotj) in enumerate(zip(fs, got)):
+                    for args in gotj:
+                        ins = [h[j][args] for h in hs]
+                        assert gotj[args] == fj[tuple(ins)]
+                        order_matters |= fj[tuple(ins)] != fj[tuple(reversed(ins))]
+        assert order_matters
+
     def test_closure_on_another_domain_does_not_carry_over(self, w):
         def and_tuple(d):
             comps = tuple(
@@ -376,6 +424,23 @@ class TestDiamond:
         for j in range(1, 4):
             for pair in two_element_subsets(example3, j):
                 assert restriction_class(h.component(j), pair).tag in FOUR_OPS
+
+    def test_matches_cyclic_rotation_cellwise(self, witness_sets):
+        # f_j(g_j(x,y,z), g_j(y,z,x), g_j(z,x,y)) from dicts, on distinct
+        # non-projection witnesses; some cell must tell the rotation from
+        # its reverse, or the check pins nothing
+        rotation_matters = False
+        for d, found in witness_sets:
+            for f, g in permutations(found, 2):
+                got = tables_by_args(d, diamond(d, f, g))
+                for fj, gj, gotj in zip(
+                    tables_by_args(d, f), tables_by_args(d, g), got
+                ):
+                    for x, y, z in gotj:
+                        a, b, c = gj[x, y, z], gj[y, z, x], gj[z, x, y]
+                        assert gotj[x, y, z] == fj[a, b, c]
+                        rotation_matters |= fj[a, b, c] != fj[a, c, b]
+        assert rotation_matters
 
     def test_non_ternary_rejected(self, w):
         binary = projection_aggregator(w, 2, 1)
@@ -413,6 +478,11 @@ W_TWO_CELL_TABLES = "".join(f"component {j}:\n0 -> 0\n1 -> 1\n" for j in (1, 2, 
     [
         ("aggregator arity 2\ncomponent\n", "line 2: expected 'component <j>:'"),
         ("aggregator arity 2\ncomponent ²:\n", "line 2: expected 'component <j>:'"),
+        (
+            "aggregator arity 2\ncomponent 1: junk here\n",
+            "line 2: expected 'component <j>:'",
+        ),
+        ("aggregator arity 2\ncomponent 3::\n", "line 2: expected 'component <j>:'"),
         ("aggregator arity ²\n", "line 1: expected 'aggregator arity <n>'"),
         ("aggregator arity 1\n" + W_TWO_CELL_TABLES, "line 1: arity 1 outside 2..4"),
         ("aggregator arity 0\n", "line 1: arity 0 outside 2..4"),

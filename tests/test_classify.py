@@ -14,7 +14,7 @@ from agorad.classify import (
     serialize_report,
 )
 from agorad.fixtures import fixture_domain
-from agorad.search import FOUND
+from agorad.search import FOUND, find_uniform, fold_diamond_cover
 
 from helpers import random_boolean_domain, random_domain
 from oracles import bruteforce_ternary_nontrivial
@@ -85,8 +85,9 @@ class TestUpd:
         assert is_upd(fixture_domain("full-boolean-2")).status == "yes"
 
     def test_validated_route(self, example3, wxw):
-        assert is_upd(example3, validate=True).status == "yes"
-        assert is_upd(wxw, validate=True).status == "no"
+        for d, expected in ((example3, "yes"), (wxw, "no")):
+            assert is_upd(d).status == expected
+            assert find_uniform(d).status == fold_diamond_cover(d).status
 
 
 class TestMcspLabel:

@@ -190,6 +190,18 @@ class TestBudgetEnv:
             "error: AGORAD_BUDGET_MS must be an integer, got 'abc'\n"
         )
 
+    @pytest.mark.parametrize("command, value", [("analyze", "0"), ("classify", "-5")])
+    def test_non_positive_env_budget_names_the_variable(
+        self, monkeypatch, capsys, w_file, command, value
+    ):
+        monkeypatch.setenv("AGORAD_BUDGET_MS", value)
+        code, out = run_cli(command, str(w_file))
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err == (
+            f"error: AGORAD_BUDGET_MS must be positive, got '{value}'\n"
+        )
+
 
 class TestFixtures:
     def test_oversized_full_boolean_rejected(self):

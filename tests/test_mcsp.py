@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from agorad import search
-from agorad.errors import ParseError, SignatureError
+from agorad.errors import CapacityError, ParseError, SignatureError
 from agorad.mcsp import (
     SAT,
     UNKNOWN,
@@ -18,7 +18,7 @@ from agorad.mcsp import (
     solve,
     verify_assignment,
 )
-from agorad.domain import build_domain, validate
+from agorad.domain import build_domain, serialize_domain, validate
 from agorad.search import SearchBudget
 
 from helpers import FakeClock
@@ -239,6 +239,17 @@ class TestParseInstance:
             "line 1: domain file bad.dom: line 3: unknown directive 'bogus'"
         )
         assert err.value.line == 1
+
+    def test_oversized_domain_file_reported_at_domain_line(self, tmp_path):
+        rows = list(product(("0", "1"), repeat=7))[:65]
+        big = build_domain([("0", "1")] * 7, rows, allow_large=True)
+        (tmp_path / "big.dom").write_text(serialize_domain(big))
+        with pytest.raises(CapacityError) as err:
+            parse_instance("domain big.dom\nvar x sort 1\n", base_dir=tmp_path)
+        assert str(err.value) == (
+            "line 1: domain file big.dom: "
+            "65 feasible tuples exceeds the guard of 64"
+        )
 
     def test_missing_domain_rejected(self):
         with pytest.raises(ParseError):

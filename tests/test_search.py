@@ -12,7 +12,7 @@ from agorad.aggregators import (
     is_dictatorial,
     is_locally_monomorphic,
     is_uniformly_nondictatorial,
-    projection_table,
+    projection_aggregator,
     restriction_class,
     serialize_aggregator,
 )
@@ -397,7 +397,7 @@ def planned_cells(d, arity, plan):
     jj, [args per tied cell], choices) per variable.
     """
     preassigned, variables = plan
-    tables = [projection_table(d, j, arity, 1) for j in range(1, d.issue_count + 1)]
+    tables = projection_aggregator(d, arity, 1).components
     seen = []
     for jj, idx, value in preassigned:
         seen.append((jj, idx))

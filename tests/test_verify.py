@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from agorad import aggregators, blockedness, search
-from agorad.aggregators import AggregatorTuple
+from agorad.aggregators import aggregator_from_callable
 from agorad.blockedness import binary_from_partition, build_graph
 from agorad.domain import two_element_subsets
 from agorad.errors import VerificationError
@@ -144,11 +144,11 @@ class TestProducersRejectFlippedWitnesses:
         graph = build_graph(d)
         assert not graph.is_strongly_connected
 
-        def flipped_tuple(**fields):
-            built = AggregatorTuple(**fields)
+        def flipped_tuple(*args):
+            built = aggregator_from_callable(*args)
             return breaking_flip(d, built, "binary", None, criterion)
 
-        monkeypatch.setattr(blockedness, "AggregatorTuple", flipped_tuple)
+        monkeypatch.setattr(blockedness, "aggregator_from_callable", flipped_tuple)
         with pytest.raises(VerificationError, match=REJECTED):
             binary_from_partition(d, graph)
 
