@@ -16,16 +16,17 @@ arguments outside the projection fall back to the first argument, and
 since all decision procedures quantify over projection values only, this
 convention never affects an outcome.
 
-The selection table of an arity, built and cached here, lays all tables
-end to end as one cell range and gives every selection of n feasible
-rows the scope of cells that produces its image: ``is_closed`` scans it,
-the table searches of ``agorad.search`` solve over it.
+The selection table of an arity lays all tables end to end as one cell
+range and gives every selection of n feasible rows the scope of cells
+that produces its image: ``is_closed`` scans it, the table searches of
+``agorad.search`` solve over it. Each domain object keeps its own tables,
+built on first use, and frees them with itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from itertools import accumulate, islice, permutations, product
 
 from .domain import MAX_FEASIBLE, Domain, two_element_subsets
@@ -203,8 +204,16 @@ def aggregator_from_callable(d: Domain, arity: int, fn) -> AggregatorTuple:
     return AggregatorTuple(arity=arity, components=comps)
 
 
-@lru_cache(maxsize=4)
 def _propagation_tables(d: Domain, arity: int):
+    """The selection table of one arity, built once per domain object and
+    kept on it, so it is freed with the domain."""
+    tables = d._selection_tables
+    if arity not in tables:
+        tables[arity] = _build_selection_table(d, arity)
+    return tables[arity]
+
+
+def _build_selection_table(d: Domain, arity: int):
     """The selection table of one arity: an engine instance, and cell offsets.
 
     Cell idx of issue jj is flat cell offsets[jj] + idx; scope ti holds per

@@ -76,6 +76,11 @@ class Domain:
         return frozenset(self.feasible)
 
     @cached_property
+    def _selection_tables(self) -> dict:
+        # arity -> selection table, filled by aggregators._propagation_tables
+        return {}
+
+    @cached_property
     def _code_maps(self) -> tuple[dict[str, int], ...]:
         return tuple({tok: i for i, tok in enumerate(alpha)} for alpha in self.alphabets)
 

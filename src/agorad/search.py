@@ -20,6 +20,7 @@ cross-examine these searches live outside the package, in
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -115,8 +116,11 @@ def _search_instance(
             value_masks[jj][code] = value_masks[jj].get(code, 0) | (1 << r)
     masks = [(1 << len(rows)) - 1] * len(scopes)
     values = [-1] * len(issue_of)
-    # trail entries: ti >= 0 restores masks[ti] to old, ~cell clears a cell
-    trail: list[tuple[int, int]] = []
+    # the trail holds flat (key, old) pairs: key ti >= 0 restores masks[ti]
+    # to old, ~cell clears a cell. The search never undoes below its first
+    # decision, so nothing is recorded until the root propagation is done.
+    trail: list[int] = []
+    record = deque(maxlen=0).extend  # discards; trail.extend after the root
     pending: list[int] = []  # scopes whose mask dropped to <= 4 rows
     nodes = 0
     prunes = 0
@@ -126,13 +130,13 @@ def _search_instance(
         if current != -1:
             return current == value
         values[cell] = value
-        trail.append((~cell, 0))
+        record((~cell, 0))
         gain = value_masks[issue_of[cell]].get(value, 0)
         for ti in watchers[cell]:
             old = masks[ti]
             new = old & gain
             if new != old:
-                trail.append((ti, old))
+                record((ti, old))
                 masks[ti] = new
                 if not new:
                     return False
@@ -165,7 +169,8 @@ def _search_instance(
 
     def undo(mark: int) -> None:
         while len(trail) > mark:
-            key, old = trail.pop()
+            old = trail.pop()
+            key = trail.pop()
             if key >= 0:
                 masks[key] = old
             else:
@@ -183,6 +188,7 @@ def _search_instance(
         return EXHAUSTED, None, SearchStats(0, 1)
     if time.monotonic() > deadline:
         return stop(BUDGET_EXCEEDED)
+    record = trail.extend
 
     if order_by_tightness:
         # fail-first: variables entangled with the tightest scopes go

@@ -1,4 +1,7 @@
+import gc
 import random
+import tracemalloc
+import weakref
 from itertools import product
 
 import pytest
@@ -15,6 +18,7 @@ from agorad.aggregators import (
     projection_aggregator,
     restriction_class,
     serialize_aggregator,
+    verify_witness,
 )
 from agorad.domain import build_domain, two_element_subsets
 from agorad.errors import CapacityError
@@ -24,6 +28,7 @@ from agorad.search import (
     EXHAUSTED,
     FOUND,
     SearchBudget,
+    SearchStats,
     find_binary_nondictatorial,
     find_component_nonprojection,
     find_majority,
@@ -321,7 +326,7 @@ class TestBudgets:
     def test_table_build_and_propagation_honour_time_budget(self):
         # 0 search nodes: all the time goes into setting the search up
         d = fixture_domain("full-boolean-5")
-        search._propagation_tables.cache_clear()
+        assert not d._selection_tables
         outcome = find_majority(d, SearchBudget(max_millis=1))
         assert outcome.status == BUDGET_EXCEEDED
         assert outcome.stats.nodes == 0
@@ -527,3 +532,73 @@ class TestDeterminism:
             assert serialize_aggregator(d, first.witness) == serialize_aggregator(
                 d, second.witness
             )
+
+
+class _Table(list):
+    """A selection table held in a list, which takes weak references."""
+
+
+class TestSelectionTableLifetime:
+    def test_built_once_per_domain_and_freed_with_it(self, monkeypatch):
+        # tuples take no weak references, so each built table is wrapped
+        build = aggregators._build_selection_table
+        monkeypatch.setattr(
+            aggregators,
+            "_build_selection_table",
+            lambda d, arity: _Table(build(d, arity)),
+        )
+        builds = count_calls(monkeypatch, aggregators._build_selection_table)
+        d = fixture_domain("example2")
+        outcome = find_uniform(d)
+        assert outcome.status == FOUND
+        verify_witness(d, outcome.witness, "uniform")
+        assert [arity for _, arity in builds] == [3]
+        table = weakref.ref(d._selection_tables[3])
+        builds.clear()  # the recorded arguments hold the domain
+        del d
+        gc.collect()
+        assert table() is None
+
+    def test_majority_peak_memory(self):
+        # all of this search is the table build and the root propagation
+        d = fixture_domain("full-boolean-5")
+        tracemalloc.start()
+        try:
+            outcome = find_majority(d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert outcome.status == FOUND
+        assert outcome.stats.nodes == 0
+        assert peak < 10_000_000
+
+
+# (status, nodes, prunes) of find_majority, find_minority, find_uniform and
+# find_component_nonprojection on issue 1 and its first pair; a change to
+# the search order or to propagation moves them
+PINNED_STATS = {
+    "w": [(EXHAUSTED, 0, 1), (EXHAUSTED, 0, 1), (EXHAUSTED, 2, 2), (EXHAUSTED, 0, 4)],
+    "example2": [(FOUND, 18, 0), (EXHAUSTED, 0, 1), (FOUND, 57, 2), (FOUND, 1103, 13)],
+    "example3": [(FOUND, 8, 2), (FOUND, 6, 0), (FOUND, 16, 0), (FOUND, 33, 3)],
+    "y-horn": [(EXHAUSTED, 0, 1), (EXHAUSTED, 0, 1), (FOUND, 6, 0), (FOUND, 12, 0)],
+    "z-affine": [(EXHAUSTED, 0, 1), (FOUND, 0, 0), (FOUND, 7, 1), (FOUND, 12, 1)],
+    "wxw": [(EXHAUSTED, 0, 1), (EXHAUSTED, 0, 1), (EXHAUSTED, 2, 2), (EXHAUSTED, 0, 4)],
+    "yz-product": [
+        (EXHAUSTED, 0, 1), (EXHAUSTED, 0, 1), (FOUND, 13, 1), (FOUND, 30, 0)
+    ],
+    "full-boolean-1": [(FOUND, 0, 0), (FOUND, 0, 0), (FOUND, 2, 0), (FOUND, 0, 0)],
+    "full-boolean-2": [(FOUND, 0, 0), (FOUND, 0, 0), (FOUND, 4, 0), (FOUND, 6, 0)],
+    "full-boolean-3": [(FOUND, 0, 0), (FOUND, 0, 0), (FOUND, 6, 0), (FOUND, 12, 0)],
+    "full-boolean-4": [(FOUND, 0, 0), (FOUND, 0, 0), (FOUND, 8, 0), (FOUND, 18, 0)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_STATS))
+def test_search_stats_pinned(name):
+    d = fixture_domain(name)
+    outcomes = [run(d) for run in (find_majority, find_minority, find_uniform)]
+    outcomes.append(find_component_nonprojection(d, 1, two_element_subsets(d, 1)[0]))
+    assert [(o.status, o.stats) for o in outcomes] == [
+        (status, SearchStats(nodes, prunes))
+        for status, nodes, prunes in PINNED_STATS[name]
+    ]
