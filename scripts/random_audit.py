@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Cross-validate the decision procedures on random domains.
 
-Six independent agreements are audited:
+Seven independent agreements are audited:
   blocked   strong connectivity of the pair graph vs the binary oracle
   ternary   the three-way witness disjunction vs the ternary oracle
             (boolean domains only)
@@ -15,6 +15,9 @@ Six independent agreements are audited:
   graph     build_graph vs the definition-level graph of tests/helpers.py:
             vertices, edges, first witnesses, SCCs and the number of
             2-sub-boxes with no feasible row
+  pairs     the graph read of the AND3/OR3 component pins (the two
+            vertices of a pair in different classes) vs the binary oracle,
+            and the definition-level check of every lifted witness
 
 Exits non-zero on the first disagreement, printing the offending domain.
 """
@@ -38,6 +41,7 @@ warnings.simplefilter("ignore", EmptyBoxWarning)
 from agorad.blockedness import (
     SubBox,
     build_graph,
+    commutative_from_graph,
     enumerate_mipes,
     is_multiply_constrained,
     is_totally_blocked,
@@ -47,6 +51,7 @@ from agorad.search import (
     EXHAUSTED,
     FOUND,
     find_binary_nondictatorial,
+    find_component_nonprojection,
     find_majority,
     find_minority,
     find_uniform,
@@ -59,10 +64,15 @@ from helpers import (
     found_witnesses,
     naive_mipes,
     naive_multiply_constrained,
+    naive_witness_ok,
     random_boolean_domain,
     random_domain,
 )
-from oracles import bruteforce_binary, bruteforce_ternary_nontrivial
+from oracles import (
+    all_binary_aggregators,
+    bruteforce_binary,
+    bruteforce_ternary_nontrivial,
+)
 
 
 def audit_blocked(d) -> bool:
@@ -112,6 +122,31 @@ def audit_graph(d) -> bool:
     return got == (vertices, edges, witnesses, sccs, expected)
 
 
+def audit_pairs(d) -> bool:
+    graph = build_graph(d)
+    class_of = {v: c for c, members in enumerate(graph.sccs) for v in members}
+    aggs = all_binary_aggregators(d)
+    for j in range(1, d.issue_count + 1):
+        for u, v in two_element_subsets(d, j):
+            split = class_of[j, u, v] != class_of[j, v, u]
+            commutative = any(
+                agg.component(j).apply((u, v)) == agg.component(j).apply((v, u))
+                for agg in aggs
+            )
+            if split != commutative:
+                return False
+            if (commutative_from_graph(d, graph, j, (u, v)) is None) == split:
+                return False
+            if split:
+                witness = find_component_nonprojection(d, j, (u, v)).witness
+                if not any(
+                    naive_witness_ok(d, witness, "component", (j, (u, v), tag))
+                    for tag in ("AND3", "OR3")
+                ):
+                    return False
+    return True
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=100)
@@ -126,7 +161,9 @@ def main() -> int:
     )
     parser.add_argument(
         "--check",
-        choices=("blocked", "ternary", "uniform", "mipes", "verify", "graph", "all"),
+        choices=(
+            "blocked", "ternary", "uniform", "mipes", "verify", "graph", "pairs", "all"
+        ),
         default="all",
     )
     args = parser.parse_args()
@@ -157,6 +194,8 @@ def main() -> int:
         checks.append(("verify", audit_verify, general))
     if args.check in ("graph", "all"):
         checks.append(("graph", audit_graph, general))
+    if args.check in ("pairs", "all"):
+        checks.append(("pairs", audit_pairs, general))
 
     start = time.monotonic()
     for i in range(args.count):

@@ -383,11 +383,49 @@ def binary_from_partition(d: Domain, graph: BlockednessGraph) -> AggregatorTuple
     class_of = {v: c for c, members in enumerate(graph.sccs) for v in members}
     entered = {class_of[b] for a, b in graph.edges if class_of[a] != class_of[b]}
     second_part = set(next(m for c, m in enumerate(graph.sccs) if c not in entered))
-    result = aggregator_from_callable(
-        d, 2, lambda j, u, v: v if (j, u, v) in second_part else u
-    )
+    result = _partition_aggregator(d, second_part)
     verify_witness(d, result, "binary")
     return result
+
+
+def _partition_aggregator(d: Domain, second_part) -> AggregatorTuple:
+    """Pairs in ``second_part`` project onto their second value, all other
+    pairs onto their first; closed when no edge enters ``second_part``."""
+    return aggregator_from_callable(
+        d, 2, lambda j, u, v: v if (j, u, v) in second_part else u
+    )
+
+
+def commutative_from_graph(
+    d: Domain, graph: BlockednessGraph, j: int, pair
+) -> AggregatorTuple | None:
+    """A binary aggregator commutative on ``pair`` at issue j, or None when
+    no aggregator restricts there to AND3 or OR3.
+
+    Let s = (j, u, v) and t = (j, v, u). If t does not reach s, let S be the
+    vertices t does not reach: an edge entering S from outside would make t
+    reach its head, so the partition construction with second part S is
+    closed, and maps (u, v) and (v, u) alike to v. Conversely, for a closed
+    h let f(x, y) = h(x, y, ..., y) and S_f the vertices (k, x, y) with
+    f_k(x, y) = y. No edge a -> b enters S_f: its MIPE, with the flips at
+    a's and b's issue restored by feasible rows p and q, would be the
+    restriction of the feasible f(q, p). So every class lies inside S_f or
+    outside it; when s and t share one, f_j is a projection on the pair,
+    which rules out AND3 and OR3, whose f is AND or OR.
+    """
+    successors = {}
+    for a, b in graph.edges:
+        successors.setdefault(a, []).append(b)
+    u, v = sorted(pair)
+    for s, t in (((j, u, v), (j, v, u)), ((j, v, u), (j, u, v))):
+        reached, stack = {t}, [t]
+        while stack:
+            heads = set(successors.get(stack.pop(), ())) - reached
+            reached |= heads
+            stack.extend(heads)
+        if s not in reached:
+            return _partition_aggregator(d, set(graph.vertices) - reached)
+    return None
 
 
 def is_multiply_constrained(d: Domain) -> bool:

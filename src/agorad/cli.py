@@ -20,7 +20,7 @@ from . import classify, fixtures, mcsp
 from .aggregators import serialize_aggregator
 from .blockedness import EmptyBoxWarning, build_graph, graph_to_dot
 from .domain import Domain, DuplicateTupleWarning, parse_domain
-from .errors import AgoradError, CapacityError, ParseError, SignatureError
+from .errors import AgoradError, CapacityError
 from .search import (
     EXHAUSTED,
     FOUND,
@@ -213,10 +213,7 @@ def main(argv=None) -> int:
         except CapacityError as exc:
             print(f"capacity: {exc}", file=sys.stderr)
             return 3
-        except (ParseError, SignatureError, ValueError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except AgoradError as exc:
+        except (AgoradError, ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 

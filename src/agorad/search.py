@@ -12,7 +12,9 @@ tuples preassigns the cells a witness kind forces (equal-argument cells,
 the majority or minority law), pins override it where a component search
 fixes a two-element restriction, and the other cells become decision
 variables with their supportive value choices, three cells to a variable
-where the uniform identity ties them. The brute-force oracles that
+where the uniform identity ties them. A component search pins only MAJ
+and XOR3: the pair graph settles AND3 and OR3 without a search
+(``blockedness.commutative_from_graph``). The brute-force oracles that
 cross-examine these searches live outside the package, in
 ``tests/oracles.py``.
 """
@@ -31,11 +33,17 @@ from .aggregators import (
     _majority_law,
     _minority_law,
     _propagation_tables,
+    aggregator_from_callable,
     eval_named,
     is_dictatorial,
     verify_witness,
 )
-from .blockedness import BlockednessGraph, binary_from_partition, build_graph
+from .blockedness import (
+    BlockednessGraph,
+    binary_from_partition,
+    build_graph,
+    commutative_from_graph,
+)
 from .domain import Domain, require_valid, two_element_subsets
 
 FOUND = "FOUND"
@@ -413,11 +421,7 @@ def _binary_from_graph(d: Domain, graph: BlockednessGraph) -> SearchOutcome:
     return SearchOutcome(FOUND, binary_from_partition(d, graph), SearchStats())
 
 
-_PIN_ORDER = ("MAJ", "XOR3", "AND3", "OR3")
-
-# node allowance for the cheap first pass over all four pins; a fixed
-# constant, so probing never perturbs determinism
-_PROBE_NODES = 5000
+_PIN_ORDER = ("MAJ", "XOR3")
 
 
 def find_component_nonprojection(
@@ -425,15 +429,9 @@ def find_component_nonprojection(
 ) -> SearchOutcome:
     """Ternary witness whose component j restricts to a named op on ``pair``.
 
-    Pins the restriction successively to MAJ, XOR3, AND3, OR3. A probe
-    pass gives every pin a small node allowance first, so a cheaply
-    satisfiable pin is found before an unsatisfiable earlier pin burns the
-    budget on its exhaustion proof; unresolved pins then rerun with the
-    full remainder. Exhausting all four pins means no aggregator of any
-    arity has a non-projection restriction there.
-
-    The budget holds for the whole call: each pin search gets the nodes
-    and the milliseconds that remain.
+    The pair graph settles the AND3 and OR3 pins, and the MAJ and XOR3
+    pins are searched (``_component``). Exhausting every pin means no
+    aggregator of any arity has a non-projection restriction there.
     """
     require_valid(d)
     pair = tuple(pair)
@@ -441,38 +439,39 @@ def find_component_nonprojection(
         raise ValueError("pair must hold two distinct values")
     if any(v not in d.projection(j) for v in pair):
         raise ValueError(f"{pair!r} is not inside the projection of issue {j}")
-    budget = budget or SearchBudget()
-    deadline = _deadline(budget)
-    nodes = 0
-    prunes = 0
+    return _component(d, build_graph(d), j, pair, budget or SearchBudget())
 
-    # (pin, probing); the loop appends each pin its probe left unresolved
-    schedule = [(op, True) for op in _PIN_ORDER]
-    for op, probing in schedule:
+
+def _component(
+    d: Domain, graph: BlockednessGraph, j: int, pair, budget: SearchBudget
+) -> SearchOutcome:
+    """AND3 or OR3 as g(g(x, y), z) for the g of ``commutative_from_graph``;
+    without one, the MAJ and then the XOR3 pin search, fail-first, under
+    one deadline and one node budget."""
+    g = commutative_from_graph(d, graph, j, pair)
+    if g is not None:
+        tag = "AND3" if g.component(j).apply(pair) == min(pair) else "OR3"
+        gk = g.component
+        witness = aggregator_from_callable(
+            d, 3, lambda k, x, y, z: gk(k).apply((gk(k).apply((x, y)), z))
+        )
+        verify_witness(d, witness, "component", (j, pair, tag))
+        return SearchOutcome(FOUND, witness, SearchStats())
+    deadline = _deadline(budget)
+    nodes = prunes = 0
+    for op in _PIN_ORDER:
         millis = int((deadline - time.monotonic()) * 1000)
         if nodes >= budget.max_nodes or millis <= 0:
             return SearchOutcome(BUDGET_EXCEEDED, None, SearchStats(nodes, prunes))
-        allowance = budget.max_nodes - nodes
-        if probing:
-            allowance = min(_PROBE_NODES, allowance)
-        preassigned, variables = _plan_component(d, j, pair, op)
-        outcome = run_table_search(
-            d,
-            3,
-            preassigned,
-            variables,
-            budget=SearchBudget(max_nodes=allowance, max_millis=millis),
-            order_by_tightness=True,
-        )
+        left = SearchBudget(max_nodes=budget.max_nodes - nodes, max_millis=millis)
+        plan = _plan_component(d, j, pair, op)
+        outcome = run_table_search(d, 3, *plan, budget=left, order_by_tightness=True)
         nodes += outcome.stats.nodes
         prunes += outcome.stats.prunes
         if outcome.status == FOUND:
             verify_witness(d, outcome.witness, "component", (j, pair, op))
-            return SearchOutcome(FOUND, outcome.witness, SearchStats(nodes, prunes))
-        if outcome.status == BUDGET_EXCEEDED:
-            if not probing:
-                return SearchOutcome(BUDGET_EXCEEDED, None, SearchStats(nodes, prunes))
-            schedule.append((op, False))
+        if outcome.status != EXHAUSTED:
+            return SearchOutcome(outcome.status, outcome.witness, SearchStats(nodes, prunes))
     return SearchOutcome(EXHAUSTED, None, SearchStats(nodes, prunes))
 
 
@@ -480,18 +479,19 @@ def fold_diamond_cover(d: Domain, budget: SearchBudget | None = None) -> SearchO
     """Targeted witnesses for every (issue, pair), folded into one.
 
     Collects a component witness per two-element subset of every
-    projection, then left-folds them with the cyclic composition, which
-    preserves each witness's commutative restriction. Each witness was
-    verified by its search, so the fold verifies only the composite, as a
-    uniform witness: closed, and in the four-op set on every pair.
+    projection, from one pair graph, then left-folds them with the cyclic
+    composition, which preserves each witness's commutative restriction.
+    Each witness was verified, so the fold verifies only the composite, as
+    a uniform witness: closed, and in the four-op set on every pair.
     """
     require_valid(d)
+    graph = build_graph(d)
     witnesses = []
     nodes = 0
     prunes = 0
     for j in range(1, d.issue_count + 1):
         for pair in two_element_subsets(d, j):
-            outcome = find_component_nonprojection(d, j, pair, budget)
+            outcome = _component(d, graph, j, pair, budget or SearchBudget())
             nodes += outcome.stats.nodes
             prunes += outcome.stats.prunes
             if outcome.status != FOUND:

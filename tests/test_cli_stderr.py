@@ -44,8 +44,13 @@ def run_fresh(*argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [("analyze",), ("graph",), ("witness", "--kind", "binary")],
-    ids=["analyze", "graph", "witness-binary"],
+    [
+        ("analyze",),
+        ("graph",),
+        ("witness", "--kind", "binary"),
+        ("witness", "--kind", "component", "--issue", "1", "--pair", "a,b"),
+    ],
+    ids=["analyze", "graph", "witness-binary", "witness-component"],
 )
 def test_empty_box_warning_line(tmp_path, argv):
     path = tmp_path / "example2.dom"

@@ -20,6 +20,7 @@ from agorad.aggregators import (
     serialize_aggregator,
     verify_witness,
 )
+from agorad.blockedness import build_graph, commutative_from_graph
 from agorad.domain import build_domain, two_element_subsets
 from agorad.errors import CapacityError
 from agorad.fixtures import fixture_domain
@@ -38,7 +39,13 @@ from agorad.search import (
 )
 
 import oracles
-from helpers import FakeClock, count_calls, random_boolean_domain, random_domain
+from helpers import (
+    FakeClock,
+    count_calls,
+    naive_witness_ok,
+    random_boolean_domain,
+    random_domain,
+)
 from oracles import (
     all_binary_aggregators,
     bruteforce_binary,
@@ -342,24 +349,30 @@ class TestBudgets:
         assert outcome.stats.nodes == 0
 
     def test_component_search_has_one_deadline(self, monkeypatch, w):
-        # every pin exhausts on w; each pin search takes 0.5 s of the
-        # call's 1 s, so the third pin finds no time left
-        clock = FakeClock()
-        monkeypatch.setattr(search, "time", clock)
+        # the graph leaves every pair of w in one class, so the MAJ and then
+        # the XOR3 pin are searched, and both exhaust; when each pin search
+        # takes 1 s of the call's 1 s the XOR3 pin finds no time left, when
+        # each takes 0.4 s the XOR3 pin gets the remaining 0.6 s
         real = search.run_table_search
-        millis = []
+        for seconds, millis, status in (
+            (1.0, [1000], BUDGET_EXCEEDED),
+            (0.4, [1000, 600], EXHAUSTED),
+        ):
+            clock = FakeClock()
+            monkeypatch.setattr(search, "time", clock)
+            seen = []
 
-        def timed(*args, budget, **kwargs):
-            millis.append(budget.max_millis)
-            outcome = real(*args, budget=budget, **kwargs)
-            clock.now += 0.5
-            return outcome
+            def timed(*args, budget, **kwargs):
+                seen.append(budget.max_millis)
+                outcome = real(*args, budget=budget, **kwargs)
+                clock.now += seconds
+                return outcome
 
-        monkeypatch.setattr(search, "run_table_search", timed)
-        budget = SearchBudget(max_millis=1000)
-        outcome = find_component_nonprojection(w, 1, (0, 1), budget)
-        assert outcome.status == BUDGET_EXCEEDED
-        assert millis == [1000, 500]
+            monkeypatch.setattr(search, "run_table_search", timed)
+            budget = SearchBudget(max_millis=1000)
+            outcome = find_component_nonprojection(w, 1, (0, 1), budget)
+            assert outcome.status == status
+            assert seen == millis
 
     def test_table_build_capacity_guard(self):
         rows = list(product("01", repeat=7))[:65]
@@ -490,7 +503,9 @@ class TestPlanLayout:
 
 
 class TestComponentRerunPass:
-    """A one-node probe leaves pins unresolved, so the rerun pass decides."""
+    """Node budgets of the component search, on pairs the graph settles and
+    on pairs it leaves to the MAJ and XOR3 pin searches (the z-affine side
+    of yz-product, and w)."""
 
     @staticmethod
     def cases(*domains):
@@ -501,22 +516,82 @@ class TestComponentRerunPass:
             for pair in two_element_subsets(d, j)
         ]
 
-    def test_same_status_as_default(self, monkeypatch, yz_product, example3):
-        cases = self.cases(yz_product, example3)
-        default = [find_component_nonprojection(*case).status for case in cases]
-        monkeypatch.setattr(search, "_PROBE_NODES", 1)
-        searches = count_calls(monkeypatch, search.run_table_search)
-        rerun = [find_component_nonprojection(*case).status for case in cases]
-        assert rerun == default
-        assert len(searches) > 4 * len(cases)
-
-    def test_reported_nodes_within_budget(self, monkeypatch, yz_product, example3):
-        monkeypatch.setattr(search, "_PROBE_NODES", 1)
-        for case in self.cases(yz_product, example3):
+    def test_reported_nodes_within_budget(self, yz_product, example3, w):
+        for case in self.cases(yz_product, example3, w):
             for max_nodes in (1, 2, 7):
                 budget = SearchBudget(max_nodes=max_nodes)
                 outcome = find_component_nonprojection(*case, budget)
                 assert outcome.stats.nodes <= max_nodes
+
+
+@pytest.fixture(scope="module")
+def pair_queries():
+    """(domain, graph, issue, pair, the values to which some closed binary
+    tuple maps both (u, v) and (v, u)) for every (issue, pair) of the small
+    fixtures and 150 seeded draws."""
+    rng = random.Random(11)
+    names = FIXTURE_NAMES[:10]  # up to full-boolean-3
+    domains = [fixture_domain(n) for n in names]
+    domains += [random_domain(rng) for _ in range(150)]
+    queries = []
+    for d in domains:
+        graph = build_graph(d)
+        aggs = all_binary_aggregators(d)
+        for j in range(1, d.issue_count + 1):
+            for u, v in two_element_subsets(d, j):
+                meets = {
+                    agg.component(j).apply((u, v))
+                    for agg in aggs
+                    if agg.component(j).apply((u, v)) == agg.component(j).apply((v, u))
+                }
+                queries.append((d, graph, j, (u, v), meets))
+    return queries
+
+
+class TestComponentPinsFromGraph:
+    """The AND3 and OR3 pins read off the classes of the pair graph, against
+    the binary oracle, the definition-level check and the ternary pin
+    searches the graph read replaced."""
+
+    def test_class_criterion_matches_binary_oracle(self, pair_queries):
+        for d, graph, j, (u, v), meets in pair_queries:
+            class_of = {x: c for c, members in enumerate(graph.sccs) for x in members}
+            split = class_of[j, u, v] != class_of[j, v, u]
+            assert split == bool(meets)
+            assert (commutative_from_graph(d, graph, j, (u, v)) is not None) == split
+
+    def test_lifted_witnesses_pass_definition_check(self, pair_queries):
+        lifted = 0
+        for d, graph, j, pair, meets in pair_queries:
+            if not meets:
+                continue
+            outcome = search._component(d, graph, j, pair, SearchBudget())
+            assert outcome.status == FOUND
+            assert outcome.stats == SearchStats()
+            assert any(
+                naive_witness_ok(d, outcome.witness, "component", (j, pair, tag))
+                for tag in ("AND3", "OR3")
+            )
+            lifted += 1
+        assert lifted > 400
+
+    def test_ternary_pins_agree_where_they_decide(self, pair_queries):
+        # AND3 on (u, v), u < v, reduces to a binary tuple mapping both
+        # orders to u, OR3 to one mapping both to v
+        decided = 0
+        for d, _, j, (u, v), meets in pair_queries:
+            for tag, meet in (("AND3", u), ("OR3", v)):
+                outcome = search.run_table_search(
+                    d,
+                    3,
+                    *search._plan_component(d, j, (u, v), tag),
+                    budget=SearchBudget(max_nodes=2000),
+                    order_by_tightness=True,
+                )
+                if outcome.status != BUDGET_EXCEEDED:
+                    decided += 1
+                    assert (outcome.status == FOUND) == (meet in meets)
+        assert decided > 1000
 
 
 class TestDeterminism:
@@ -577,19 +652,19 @@ class TestSelectionTableLifetime:
 # find_component_nonprojection on issue 1 and its first pair; a change to
 # the search order or to propagation moves them
 PINNED_STATS = {
-    "w": [(EXHAUSTED, 0, 1), (EXHAUSTED, 0, 1), (EXHAUSTED, 2, 2), (EXHAUSTED, 0, 4)],
-    "example2": [(FOUND, 18, 0), (EXHAUSTED, 0, 1), (FOUND, 57, 2), (FOUND, 1103, 13)],
-    "example3": [(FOUND, 8, 2), (FOUND, 6, 0), (FOUND, 16, 0), (FOUND, 33, 3)],
-    "y-horn": [(EXHAUSTED, 0, 1), (EXHAUSTED, 0, 1), (FOUND, 6, 0), (FOUND, 12, 0)],
+    "w": [(EXHAUSTED, 0, 1), (EXHAUSTED, 0, 1), (EXHAUSTED, 2, 2), (EXHAUSTED, 0, 2)],
+    "example2": [(FOUND, 18, 0), (EXHAUSTED, 0, 1), (FOUND, 57, 2), (FOUND, 0, 0)],
+    "example3": [(FOUND, 8, 2), (FOUND, 6, 0), (FOUND, 16, 0), (FOUND, 0, 0)],
+    "y-horn": [(EXHAUSTED, 0, 1), (EXHAUSTED, 0, 1), (FOUND, 6, 0), (FOUND, 0, 0)],
     "z-affine": [(EXHAUSTED, 0, 1), (FOUND, 0, 0), (FOUND, 7, 1), (FOUND, 12, 1)],
-    "wxw": [(EXHAUSTED, 0, 1), (EXHAUSTED, 0, 1), (EXHAUSTED, 2, 2), (EXHAUSTED, 0, 4)],
+    "wxw": [(EXHAUSTED, 0, 1), (EXHAUSTED, 0, 1), (EXHAUSTED, 2, 2), (EXHAUSTED, 0, 2)],
     "yz-product": [
-        (EXHAUSTED, 0, 1), (EXHAUSTED, 0, 1), (FOUND, 13, 1), (FOUND, 30, 0)
+        (EXHAUSTED, 0, 1), (EXHAUSTED, 0, 1), (FOUND, 13, 1), (FOUND, 0, 0)
     ],
     "full-boolean-1": [(FOUND, 0, 0), (FOUND, 0, 0), (FOUND, 2, 0), (FOUND, 0, 0)],
-    "full-boolean-2": [(FOUND, 0, 0), (FOUND, 0, 0), (FOUND, 4, 0), (FOUND, 6, 0)],
-    "full-boolean-3": [(FOUND, 0, 0), (FOUND, 0, 0), (FOUND, 6, 0), (FOUND, 12, 0)],
-    "full-boolean-4": [(FOUND, 0, 0), (FOUND, 0, 0), (FOUND, 8, 0), (FOUND, 18, 0)],
+    "full-boolean-2": [(FOUND, 0, 0), (FOUND, 0, 0), (FOUND, 4, 0), (FOUND, 0, 0)],
+    "full-boolean-3": [(FOUND, 0, 0), (FOUND, 0, 0), (FOUND, 6, 0), (FOUND, 0, 0)],
+    "full-boolean-4": [(FOUND, 0, 0), (FOUND, 0, 0), (FOUND, 8, 0), (FOUND, 0, 0)],
 }
 
 

@@ -102,6 +102,12 @@ class TestProducersRejectFlippedWitnesses:
             pins.append((j, tuple(pair), op))
             return plan_component(d, j, pair, op)
 
+        read_graph = search.commutative_from_graph
+
+        def recorded_read(d, graph, j, pair):
+            pins.append((j, tuple(pair), None))  # the op is read off the lift
+            return read_graph(d, graph, j, pair)
+
         run_table_search = search.run_table_search
         flipped = []
 
@@ -113,8 +119,24 @@ class TestProducersRejectFlippedWitnesses:
             flipped.append(breaking_flip(d, outcome.witness, kind, pin, criterion))
             return replace(outcome, witness=flipped[-1])
 
+        lift = search.aggregator_from_callable
+
+        def flipping_lift(*args):
+            # the AND3 or OR3 witness lifted from a graph-settled pair
+            built = lift(*args)
+            j, pair, _ = pins[-1]
+            pin = next(
+                (j, pair, op)
+                for op in ("AND3", "OR3")
+                if naive_witness_ok(d, built, "component", (j, pair, op))
+            )
+            flipped.append(breaking_flip(d, built, kind, pin, criterion))
+            return flipped[-1]
+
         monkeypatch.setattr(search, "_plan_component", recorded_plan)
+        monkeypatch.setattr(search, "commutative_from_graph", recorded_read)
         monkeypatch.setattr(search, "run_table_search", flipping_search)
+        monkeypatch.setattr(search, "aggregator_from_callable", flipping_lift)
         with pytest.raises(VerificationError, match=REJECTED):
             find(d)
         assert len(flipped) == 1
