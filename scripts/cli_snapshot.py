@@ -4,14 +4,17 @@
 The commands run in-process against this checkout's ``src/``:
 
   on the built-in fixtures    analyze --witnesses --dot --diagnostics,
-  up to full-boolean-5        graph (DOT and text), witness --kind binary
-                              with and without --direct, majority,
-                              minority, uniform, and component on every
-                              (issue, pair)
+  up to full-boolean-5        graph (DOT and text), witness --kind binary,
+                              majority, minority, uniform, and component
+                              on every (issue, pair)
   on --draws seeded draws     analyze --witnesses --dot --budget-nodes 20000
                               and witness --kind uniform --budget-nodes 2000
                               (helpers.random_domain, seed 1: up to 4
                               issues, 3 tokens, 20 rows)
+  on two 6/4/64 draws past    witness --kind binary, which the binary table
+  the graph's work guard      search decides (helpers.past_guard_domain,
+                              seed 7, and helpers.past_guard_product,
+                              seed 3)
 
 Domain files are written to a temporary directory and named relative to
 it, so the output is a function of the code alone. Running the script in
@@ -39,7 +42,7 @@ from agorad.cli import main as cli_main  # noqa: E402
 from agorad.domain import serialize_domain, two_element_subsets  # noqa: E402
 from agorad.fixtures import fixture_domain  # noqa: E402
 
-from helpers import random_domain  # noqa: E402
+from helpers import past_guard_domain, past_guard_product, random_domain  # noqa: E402
 
 # full-boolean-6 is left out: its searches alone take about 19 s
 FIXTURES = ("w", "example2", "example3", "wxw", "y-horn", "z-affine", "yz-product")
@@ -51,7 +54,6 @@ def fixture_commands(path: str, d):
     yield ["graph", path]
     yield ["graph", path, "--format", "text"]
     yield ["witness", path, "--kind", "binary"]
-    yield ["witness", path, "--kind", "binary", "--direct"]
     for kind in ("majority", "minority", "uniform"):
         yield ["witness", path, "--kind", kind]
     component = ["witness", path, "--kind", "component"]
@@ -99,9 +101,14 @@ def main() -> int:
         argv for path, d in fixtures.items() for argv in fixture_commands(path, d)
     ]
     commands += [argv for path in draws for argv in draw_commands(path)]
+    past_guard = {
+        "past-guard-random.dom": past_guard_domain(random.Random(7)),
+        "past-guard-product.dom": past_guard_product(random.Random(3)),
+    }
+    commands += [["witness", path, "--kind", "binary"] for path in past_guard]
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
-        for path, d in {**fixtures, **draws}.items():
+        for path, d in {**fixtures, **draws, **past_guard}.items():
             Path(path).write_text(serialize_domain(d))
         for argv in commands:
             sys.stdout.write(run(argv))

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Cross-validate the decision procedures on random domains.
 
-Seven independent agreements are audited:
+Eight independent agreements are audited:
   blocked   strong connectivity of the pair graph vs the binary oracle
   ternary   the three-way witness disjunction vs the ternary oracle
             (boolean domains only)
@@ -18,21 +18,34 @@ Seven independent agreements are audited:
   pairs     the graph read of the AND3/OR3 component pins (the two
             vertices of a pair in different classes) vs the binary oracle,
             and the definition-level check of every lifted witness
+  checker   every decided output of analyze --witnesses and witness --kind
+            binary|majority|minority|uniform, run through the command line
+            at --budget-nodes 20000, vs the benchmark's independent checker
+            (perfbench/checker.py): the report, each printed witness, and
+            each NONE (total blockedness for binary, the checker's own
+            search for majority, minority and uniform). The draws cycle
+            through four shapes: helpers.random_domain up to 4 issues, 4
+            tokens and 14 rows; 5 Boolean issues with 6-20 rows; 3 issues
+            of 3-4 tokens with 8-14 rows; 4 issues of 3 tokens with 16-24
+            rows. Outputs left unknown by the budget are counted, not judged
 
 Exits non-zero on the first disagreement, printing the offending domain.
 """
 
 import argparse
+import contextlib
+import io
 import random
 import sys
 import time
 import warnings
-from itertools import product
+from itertools import cycle, product
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 from agorad.blockedness import EmptyBoxWarning  # noqa: E402
 
@@ -46,10 +59,12 @@ from agorad.blockedness import (
     is_multiply_constrained,
     is_totally_blocked,
 )
-from agorad.domain import serialize_domain, two_element_subsets
+from agorad.cli import main as cli_main
+from agorad.domain import build_domain, serialize_domain, two_element_subsets, validate
 from agorad.search import (
     EXHAUSTED,
     FOUND,
+    SearchBudget,
     find_binary_nondictatorial,
     find_component_nonprojection,
     find_majority,
@@ -58,7 +73,9 @@ from agorad.search import (
     fold_diamond_cover,
 )
 
+import checker
 from helpers import (
+    TOKENS,
     definition_graph,
     flip_disagreements,
     found_witnesses,
@@ -147,6 +164,89 @@ def audit_pairs(d) -> bool:
     return True
 
 
+# node budget of the per-pair route the checker falls back on for a NONE
+# uniform answer its own search cannot settle, as in perfbench/run.py
+FOLD_NODES = 200_000
+WITNESS_KINDS = ("binary", "majority", "minority", "uniform")
+CHECKS = (
+    "blocked", "ternary", "uniform", "mipes", "verify", "graph", "pairs", "checker"
+)
+
+
+def sampled_domain(rng, sizes, low, high):
+    """Between ``low`` and ``high`` rows of the product of alphabets of the
+    given sizes, redrawn until valid."""
+    alphabets = [TOKENS[:size] for size in sizes]
+    universe = list(product(*alphabets))
+    while True:
+        d = build_domain(alphabets, rng.sample(universe, rng.randint(low, high)))
+        if validate(d).ok:
+            return d
+
+
+def checker_shapes(rng):
+    """The four shapes of the checker audit, in turn, forever."""
+    for shape in cycle(range(4)):
+        if shape == 0:
+            yield random_domain(rng, max_issues=4, max_alphabet=4, max_rows=14)
+        elif shape == 1:
+            yield sampled_domain(rng, [2] * 5, 6, 20)
+        elif shape == 2:
+            yield sampled_domain(rng, [rng.randint(3, 4) for _ in range(3)], 8, 14)
+        else:
+            yield sampled_domain(rng, [3] * 4, 16, 24)
+
+
+def run_cli(text, verb, *options):
+    """Exit code and stdout of one command on a domain read from stdin."""
+    out = io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli_main([verb, "-", *options, "--budget-nodes", "20000"])
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue()
+
+
+def checker_problems(d, unknown: list) -> list[str]:
+    """What the checker rejects in the decided outputs of every audited
+    command on ``d``; each undecided command is appended to ``unknown``."""
+    text = serialize_domain(d)
+    dom = checker.read_domain(text)
+
+    def fold():
+        return fold_diamond_cover(d, SearchBudget(max_nodes=FOLD_NODES)).status
+
+    problems = []
+    commands = [("analyze", "--witnesses")]
+    commands += [("witness", "--kind", kind) for kind in WITNESS_KINDS]
+    for argv in commands:
+        code, out = run_cli(text, *argv)
+        label, kind = " ".join(argv), argv[-1]
+        if code == 1:
+            unknown.append(label)
+            continue
+        if code != 0:
+            found = [f"exit {code}"]
+        elif argv[0] == "analyze":
+            found = checker.check_analyze(dom, out, fold=fold)
+        elif kind == "uniform":
+            found = checker.check_uniform(dom, out, fold)
+        elif out != "NONE\n":
+            witness = checker.read_witness(out.splitlines())
+            found = checker.witness_problems(dom, witness, kind)
+        elif kind == "binary":
+            blocked = checker.totally_blocked(dom)
+            found = [] if blocked else ["NONE on a domain that is not totally blocked"]
+        elif checker.ternary_exists(dom, kind) != "no":
+            found = ["NONE not confirmed by the checker's search"]
+        else:
+            found = []
+        problems += [f"{label}: {p}" for p in found]
+    return problems
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=100)
@@ -161,9 +261,7 @@ def main() -> int:
     )
     parser.add_argument(
         "--check",
-        choices=(
-            "blocked", "ternary", "uniform", "mipes", "verify", "graph", "pairs", "all"
-        ),
+        choices=(*CHECKS, "all"),
         default="all",
     )
     args = parser.parse_args()
@@ -196,6 +294,16 @@ def main() -> int:
         checks.append(("graph", audit_graph, general))
     if args.check in ("pairs", "all"):
         checks.append(("pairs", audit_pairs, general))
+    unknown = []
+    if args.check in ("checker", "all"):
+        shapes = checker_shapes(rng)
+
+        def audit_checker(d) -> bool:
+            problems = checker_problems(d, unknown)
+            print(*problems, sep="\n", end="\n" if problems else "")
+            return not problems
+
+        checks.append(("checker", audit_checker, lambda: next(shapes)))
 
     start = time.monotonic()
     for i in range(args.count):
@@ -206,6 +314,8 @@ def main() -> int:
                 print(serialize_domain(d))
                 return 1
     elapsed = time.monotonic() - start
+    if args.check in ("checker", "all"):
+        print(f"checker: {len(unknown)} of {5 * args.count} outputs unknown")
     print(f"{args.count} domains per check, all agree ({elapsed:.1f}s)")
     return 0
 

@@ -68,7 +68,7 @@ class UpdDecision:
 class BooleanClassification:
     affine: bool
     bijunctive: bool
-    possibility: str  # yes | no, decided as affine or binary witness
+    possibility: str  # yes | no | unknown, decided as affine or binary witness
 
 
 @dataclass(frozen=True)
@@ -136,13 +136,12 @@ def boolean_classification(
     require_valid(d)
     if any(len(p) != 2 for p in d.projections):
         raise ValueError("boolean classification needs two-valued projections")
-    binary = find_binary_nondictatorial(d, budget)
-    return _classify_boolean(d, binary.status == FOUND)
+    return _classify_boolean(d, find_binary_nondictatorial(d, budget).status)
 
 
-def _classify_boolean(d: Domain, binary_found: bool) -> BooleanClassification:
-    """Closure scan of a two-valued ``d``; the binary verdict comes from the
-    graph route, which never runs out of budget."""
+def _classify_boolean(d: Domain, binary: str) -> BooleanClassification:
+    """Closure scan of a two-valued ``d``, given the binary search's status;
+    one out of budget leaves the decision unknown unless ``d`` is affine."""
     feasible_set = d.feasible_set
 
     def closed(law) -> bool:
@@ -155,7 +154,7 @@ def _classify_boolean(d: Domain, binary_found: bool) -> BooleanClassification:
     return BooleanClassification(
         affine=affine,
         bijunctive=closed(_majority_law),
-        possibility=YES if affine or binary_found else NO,
+        possibility=YES if affine else {FOUND: YES, EXHAUSTED: NO}.get(binary, UNKNOWN),
     )
 
 
@@ -202,7 +201,7 @@ def analyze(d: Domain, options: AnalysisOptions | None = None) -> AnalysisReport
         upd = is_upd(d, budget)
 
     is_boolean = all(len(p) == 2 for p in d.projections)
-    boolean = _classify_boolean(d, binary.status == FOUND) if is_boolean else None
+    boolean = _classify_boolean(d, binary.status) if is_boolean else None
     if boolean is not None and possibility.status not in (UNKNOWN, boolean.possibility):
         raise VerificationError(
             "dichotomy decision disagrees with the three-search route"

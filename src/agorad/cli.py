@@ -79,7 +79,7 @@ def _cmd_witness(args) -> int:
     domain = _read_domain(args.domain, args.allow_large)
     budget = _budget_from(args)
     if args.kind == "binary":
-        outcome = find_binary_nondictatorial(domain, budget, direct=args.direct)
+        outcome = find_binary_nondictatorial(domain, budget)
     elif args.kind == "majority":
         outcome = find_majority(domain, budget)
     elif args.kind == "minority":
@@ -106,6 +106,7 @@ def _cmd_witness(args) -> int:
 
 def _cmd_graph(args) -> int:
     domain = _read_domain(args.domain, args.allow_large)
+    _budget_from(args)  # validated as in every verb; build_graph reads no budget yet
     graph = build_graph(domain)
     if args.format == "text":
         for (sj, su, sv), (tj, tu, tv) in graph.edges:
@@ -169,7 +170,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--issue", type=int, default=None)
     p.add_argument("--pair", type=str, default=None, help="tok,tok")
-    p.add_argument("--direct", action="store_true", help="binary: skip the graph route")
     p.set_defaults(handler=_cmd_witness)
 
     p = subs.add_parser("graph", help="emit the blockedness graph")

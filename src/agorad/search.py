@@ -12,11 +12,12 @@ tuples preassigns the cells a witness kind forces (equal-argument cells,
 the majority or minority law), pins override it where a component search
 fixes a two-element restriction, and the other cells become decision
 variables with their supportive value choices, three cells to a variable
-where the uniform identity ties them. A component search pins only MAJ
-and XOR3: the pair graph settles AND3 and OR3 without a search
-(``blockedness.commutative_from_graph``). The brute-force oracles that
-cross-examine these searches live outside the package, in
-``tests/oracles.py``.
+where the uniform identity ties them. The pair graph settles without a
+search the binary question wherever its work guard admits the domain, and
+the AND3 and OR3 component pins (``blockedness.commutative_from_graph``):
+a binary search runs only past that guard, a component search pins only
+MAJ and XOR3. The brute-force oracles that cross-examine these searches
+live outside the package, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .blockedness import (
     commutative_from_graph,
 )
 from .domain import Domain, require_valid, two_element_subsets
+from .errors import CapacityError
 
 FOUND = "FOUND"
 EXHAUSTED = "EXHAUSTED"
@@ -356,11 +358,15 @@ def _plan_component(d: Domain, j: int, pair, op: str):
     return preassigned, variables
 
 
-def _find_ternary(d: Domain, budget, kind: str, law, *, tie: bool = False):
+def _find_by_law(
+    d: Domain, budget, kind: str, law, *, arity: int = 3, tie: bool = False, accept=None
+):
     """Plan by ``law``, search, and verify a found witness as ``kind``."""
     require_valid(d)
-    preassigned, variables = _plan_by_law(d, 3, law, tie=tie)
-    outcome = run_table_search(d, 3, preassigned, variables, budget=budget)
+    preassigned, variables = _plan_by_law(d, arity, law, tie=tie)
+    outcome = run_table_search(
+        d, arity, preassigned, variables, budget=budget, accept=accept
+    )
     if outcome.status == FOUND:
         verify_witness(d, outcome.witness, kind)
     return outcome
@@ -368,12 +374,12 @@ def _find_ternary(d: Domain, budget, kind: str, law, *, tie: bool = False):
 
 def find_majority(d: Domain, budget: SearchBudget | None = None) -> SearchOutcome:
     """Ternary witness whose every component obeys the majority law."""
-    return _find_ternary(d, budget, "majority", _majority_law)
+    return _find_by_law(d, budget, "majority", _majority_law)
 
 
 def find_minority(d: Domain, budget: SearchBudget | None = None) -> SearchOutcome:
     """Ternary witness whose every component returns the odd value out."""
-    return _find_ternary(d, budget, "minority", _minority_law)
+    return _find_by_law(d, budget, "minority", _minority_law)
 
 
 def find_uniform(d: Domain, budget: SearchBudget | None = None) -> SearchOutcome:
@@ -383,34 +389,29 @@ def find_uniform(d: Domain, budget: SearchBudget | None = None) -> SearchOutcome
     the four-op set everywhere, which ``verify_witness`` re-checks with
     closure; exhaustion refutes uniform possibility.
     """
-    return _find_ternary(d, budget, "uniform", _free_law, tie=True)
+    return _find_by_law(d, budget, "uniform", _free_law, tie=True)
 
 
 def find_binary_nondictatorial(
-    d: Domain, budget: SearchBudget | None = None, *, direct: bool = False
+    d: Domain, budget: SearchBudget | None = None
 ) -> SearchOutcome:
-    """Binary non-dictatorial witness.
+    """Binary non-dictatorial witness; the input picks the route.
 
-    Default route: build the blockedness graph; a strongly connected graph
-    settles exhaustion outright, otherwise the partition construction
-    hands over a verified witness. The direct route backtracks over
-    binary tables with a dictatorship filter and exists as a cross-check.
+    Where ``build_graph``'s work guard admits ``d``, the pair graph decides
+    without a search: strong connectivity settles exhaustion, otherwise
+    the partition construction hands over a verified witness. Past the
+    guard no graph is built and a search over binary tables, whose leaf
+    filter passes over the two dictators, decides under ``budget``.
     """
     require_valid(d)
-    if direct:
-        preassigned, variables = _plan_by_law(d, 2, _free_law)
-        outcome = run_table_search(
-            d,
-            2,
-            preassigned,
-            variables,
-            budget=budget,
+    try:
+        graph = build_graph(d)
+    except CapacityError:
+        return _find_by_law(
+            d, budget, "binary", _free_law, arity=2,
             accept=lambda cand: is_dictatorial(d, cand) is None,
         )
-        if outcome.status == FOUND:
-            verify_witness(d, outcome.witness, "binary")
-        return outcome
-    return _binary_from_graph(d, build_graph(d))
+    return _binary_from_graph(d, graph)
 
 
 def _binary_from_graph(d: Domain, graph: BlockednessGraph) -> SearchOutcome:

@@ -11,10 +11,17 @@ something independent to agree with.
 import sys
 from itertools import combinations, product
 
+from agorad import search
 from agorad.aggregators import AggregatorTuple, OperationTable, verify_witness
 from agorad.blockedness import Mipe, SubBox
-from agorad.domain import Domain, build_domain, two_element_subsets, validate
-from agorad.errors import VerificationError
+from agorad.domain import (
+    Domain,
+    build_domain,
+    product_domain,
+    two_element_subsets,
+    validate,
+)
+from agorad.errors import CapacityError, VerificationError
 from agorad.search import (
     FOUND,
     SearchBudget,
@@ -53,6 +60,42 @@ def random_boolean_domain(rng, *, max_issues=3):
         d = build_domain(alphabets, rows)
         if validate(d).ok:
             return d
+
+
+def past_guard_domain(rng, issues=6, tokens=4, rows=64):
+    """``rows`` rows sampled from the product of ``issues`` alphabets of
+    ``tokens`` tokens, redrawn until valid. At the defaults (and at 7/4/64
+    or 8/5/64) the draw passes the parse guards and fails the work guard
+    of ``build_graph``."""
+    alphabets = [TOKENS[:tokens]] * issues
+    universe = list(product(*alphabets))
+    while True:
+        d = build_domain(alphabets, rng.sample(universe, rows))
+        if validate(d).ok:
+            return d
+
+
+def past_guard_product(rng, issues=3, tokens=4, rows=8):
+    """The product of two ``past_guard_domain`` factors: 6/4/64 at the
+    defaults, past the work guard of ``build_graph`` and never totally
+    blocked."""
+    left = past_guard_domain(rng, issues, tokens, rows)
+    return product_domain(left, past_guard_domain(rng, issues, tokens, rows))
+
+
+def _refuse_graph(d):
+    raise CapacityError("graph refused: the table search decides")
+
+
+def searched_binary(d: Domain, budget=None):
+    """``find_binary_nondictatorial`` on its table-search route: the graph's
+    work guard is made to refuse every domain for the one call."""
+    build_graph = search.build_graph
+    search.build_graph = _refuse_graph
+    try:
+        return find_binary_nondictatorial(d, budget)
+    finally:
+        search.build_graph = build_graph
 
 
 def count_calls(monkeypatch, original) -> list:
@@ -371,14 +414,15 @@ PIN_OPS = ("MAJ", "XOR3", "AND3", "OR3")
 
 def found_witnesses(d: Domain):
     """(kind, witness, pin) for each witness the searches find on ``d`` in
-    20 000 nodes: both binary routes, majority, minority, uniform, the fold,
-    and the component search on every (issue, pair); the pin's op is read
-    off the witness with ``naive_witness_ok``."""
+    20 000 nodes: both binary routes (the pair graph and the forced table
+    search), majority, minority, uniform, the fold, and the component
+    search on every (issue, pair); the pin's op is read off the witness
+    with ``naive_witness_ok``."""
     budget = SearchBudget(max_nodes=20_000)
     found = []
     for kind, outcome in (
         ("binary", find_binary_nondictatorial(d, budget)),
-        ("binary", find_binary_nondictatorial(d, budget, direct=True)),
+        ("binary", searched_binary(d, budget)),
         ("majority", find_majority(d, budget)),
         ("minority", find_minority(d, budget)),
         ("uniform", find_uniform(d, budget)),

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from agorad import search
 from agorad.classify import (
     NP_COMPLETE,
     TRACTABLE,
@@ -14,7 +15,8 @@ from agorad.classify import (
     serialize_report,
 )
 from agorad.fixtures import fixture_domain
-from agorad.search import FOUND, find_uniform, fold_diamond_cover
+from agorad.errors import CapacityError
+from agorad.search import FOUND, SearchBudget, find_uniform, fold_diamond_cover
 
 from helpers import random_boolean_domain, random_domain
 from oracles import bruteforce_ternary_nontrivial
@@ -61,6 +63,18 @@ class TestBooleanClassification:
         flags = boolean_classification(w)
         assert not flags.affine and not flags.bijunctive
         assert flags.possibility == "no"
+
+    def test_search_route_out_of_budget(self, monkeypatch, y_horn, z_affine):
+        # past the graph's work guard the binary question is searched, and a
+        # search out of budget leaves a non-affine domain unknown, never no
+        def refuse(d):
+            raise CapacityError("graph refused")
+
+        monkeypatch.setattr(search, "build_graph", refuse)
+        starved = SearchBudget(max_nodes=1)
+        assert boolean_classification(y_horn, starved).possibility == "unknown"
+        assert boolean_classification(z_affine, starved).possibility == "yes"
+        assert boolean_classification(y_horn).possibility == "yes"
 
     def test_non_boolean_rejected(self, example2):
         with pytest.raises(ValueError):

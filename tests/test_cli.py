@@ -1,12 +1,16 @@
 import contextlib
 import io
+import random
 from itertools import product
 
 import pytest
 
+from agorad.aggregators import parse_aggregator, verify_witness
 from agorad.cli import main
 from agorad.domain import build_domain, serialize_domain
 from agorad.fixtures import fixture_text
+
+from helpers import past_guard_domain, past_guard_product
 
 
 def run_cli(*argv):
@@ -94,9 +98,29 @@ class TestWitness:
         assert out.startswith("aggregator arity 3")
 
     def test_direct_binary(self, w_file):
-        code, out = run_cli("witness", str(w_file), "--kind", "binary", "--direct")
+        # the input picks the binary route; there is no option to pick it
+        with pytest.raises(SystemExit) as refused:
+            run_cli("witness", str(w_file), "--kind", "binary", "--direct")
+        assert refused.value.code == 2
+
+    @pytest.mark.parametrize(
+        "draw, seed", [(past_guard_domain, 7), (past_guard_product, 3)]
+    )
+    def test_binary_past_the_graph_guard(self, tmp_path, capsys, draw, seed):
+        # the graph refuses these domains; the binary table search decides:
+        # the random draw is totally blocked, a product of valid factors never
+        d = draw(random.Random(seed))
+        path = tmp_path / "large.dom"
+        path.write_text(serialize_domain(d))
+        assert run_cli("graph", str(path)) == (3, "")
+        assert "graph enumeration estimate" in capsys.readouterr().err
+        code, out = run_cli("witness", str(path), "--kind", "binary")
         assert code == 0
-        assert out == "NONE\n"
+        assert capsys.readouterr().err == ""
+        if draw is past_guard_domain:
+            assert out == "NONE\n"
+        else:
+            verify_witness(d, parse_aggregator(out, d), "binary")
 
 
 class TestGraph:
@@ -160,6 +184,8 @@ class TestBudgetFlags:
         )
         assert code == 2
         assert out == ""
+        for nodes in ("0", "-3"):
+            assert run_cli("graph", str(w_file), "--budget-nodes", nodes) == (2, "")
 
     def test_zero_millis_rejected(self, tmp_path, w_file):
         inst = tmp_path / "one.csp"
@@ -171,6 +197,7 @@ class TestBudgetFlags:
         code, out = run_cli("solve", str(inst), "--budget-ms", "0")
         assert code == 2
         assert out == ""
+        assert run_cli("graph", str(w_file), "--budget-ms", "0") == (2, "")
 
 
 class TestBudgetEnv:
@@ -183,14 +210,17 @@ class TestBudgetEnv:
 
     def test_non_integer_env_budget_names_the_variable(self, monkeypatch, capsys, w_file):
         monkeypatch.setenv("AGORAD_BUDGET_MS", "abc")
-        code, out = run_cli("analyze", str(w_file))
-        assert code == 2
-        assert out == ""
-        assert capsys.readouterr().err == (
-            "error: AGORAD_BUDGET_MS must be an integer, got 'abc'\n"
-        )
+        for command in ("analyze", "graph"):
+            code, out = run_cli(command, str(w_file))
+            assert code == 2
+            assert out == ""
+            assert capsys.readouterr().err == (
+                "error: AGORAD_BUDGET_MS must be an integer, got 'abc'\n"
+            )
 
-    @pytest.mark.parametrize("command, value", [("analyze", "0"), ("classify", "-5")])
+    @pytest.mark.parametrize(
+        "command, value", [("analyze", "0"), ("classify", "-5"), ("graph", "-1")]
+    )
     def test_non_positive_env_budget_names_the_variable(
         self, monkeypatch, capsys, w_file, command, value
     ):

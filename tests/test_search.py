@@ -20,7 +20,11 @@ from agorad.aggregators import (
     serialize_aggregator,
     verify_witness,
 )
-from agorad.blockedness import build_graph, commutative_from_graph
+from agorad.blockedness import (
+    binary_from_partition,
+    build_graph,
+    commutative_from_graph,
+)
 from agorad.domain import build_domain, two_element_subsets
 from agorad.errors import CapacityError
 from agorad.fixtures import fixture_domain
@@ -45,6 +49,7 @@ from helpers import (
     naive_witness_ok,
     random_boolean_domain,
     random_domain,
+    searched_binary,
 )
 from oracles import (
     all_binary_aggregators,
@@ -73,6 +78,9 @@ def check_four_ops_everywhere(d, agg):
 
 
 class TestFindBinary:
+    """The pair graph decides within its work guard and a binary table
+    search past it; ``searched_binary`` forces the search route."""
+
     def test_w_exhausted(self, w):
         assert find_binary_nondictatorial(w).status == EXHAUSTED
 
@@ -84,26 +92,36 @@ class TestFindBinary:
 
     def test_example2_found_both_routes(self, example2):
         graph_route = find_binary_nondictatorial(example2)
-        direct = find_binary_nondictatorial(example2, direct=True)
+        searched = searched_binary(example2)
         assert graph_route.status == FOUND
-        assert direct.status == FOUND
-        assert is_closed(example2, direct.witness).ok
+        assert searched.status == FOUND
+        assert is_closed(example2, searched.witness).ok
 
     def test_route_agreement_on_fixtures(
         self, w, example2, example3, wxw, y_horn, z_affine, yz_product
     ):
         for d in (w, example2, example3, wxw, y_horn, z_affine, yz_product):
             graph_route = find_binary_nondictatorial(d)
-            direct = find_binary_nondictatorial(d, direct=True)
-            assert graph_route.status == direct.status
+            assert graph_route.status == searched_binary(d).status
+
+    def test_graph_route_within_guard(self):
+        # the bytes of every answer the graph decided before the search
+        # route existed: EXHAUSTED when blocked, else the partition witness
+        for name in FIXTURE_NAMES:
+            d = fixture_domain(name)
+            graph = build_graph(d)
+            outcome = find_binary_nondictatorial(d)
+            if graph.is_strongly_connected:
+                assert outcome.status == EXHAUSTED
+            else:
+                assert outcome.witness == binary_from_partition(d, graph)
 
     def test_route_agreement_randomized(self):
         rng = random.Random(31415)
         for _ in range(40):
             d = random_domain(rng)
             assert (
-                find_binary_nondictatorial(d).status
-                == find_binary_nondictatorial(d, direct=True).status
+                find_binary_nondictatorial(d).status == searched_binary(d).status
             )
 
 
@@ -379,7 +397,7 @@ class TestBudgets:
         d = build_domain([("0", "1")] * 7, rows, allow_large=True)
         with pytest.raises(CapacityError, match="table-build guard"):
             find_majority(d)
-        assert find_binary_nondictatorial(d, direct=True).status == FOUND
+        assert searched_binary(d).status == FOUND
 
 
 FIXTURE_NAMES = (

@@ -28,6 +28,7 @@ from helpers import (
     found_witnesses,
     naive_is_closed,
     naive_witness_ok,
+    searched_binary,
     single_cell_flips,
 )
 
@@ -79,7 +80,7 @@ PRODUCERS = {
     "majority": ("majority", find_majority),
     "minority": ("minority", find_minority),
     "uniform": ("uniform", find_uniform),
-    "direct binary": ("binary", lambda d: find_binary_nondictatorial(d, direct=True)),
+    "direct binary": ("binary", searched_binary),
     "component": ("component", lambda d: find_component_nonprojection(d, 1, (0, 1))),
     "fold pins": ("component", fold_diamond_cover),
 }
@@ -177,7 +178,7 @@ class TestProducersRejectFlippedWitnesses:
 
 VERIFIED = {
     "binary": find_binary_nondictatorial,
-    "direct binary": lambda d: find_binary_nondictatorial(d, direct=True),
+    "direct binary": searched_binary,
     "majority": find_majority,
     "minority": find_minority,
     "uniform": find_uniform,
